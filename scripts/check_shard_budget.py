@@ -4,7 +4,9 @@
 bench_service's multi-process mode forks this repo's service into a
 key-manager process plus {1, 2} single-threaded worker-shard processes and
 drives a weakly-scaled workload (one full batch of clients per shard)
-through the front-end Router over real sockets. On a multi-core host the
+through the front-end Router over real sockets; each point's throughput is
+the median of several timed waves (quartiles alongside in the JSON), so
+speedup_2_shards is a ratio of medians. On a multi-core host the
 shards compute concurrently, so aggregate 2-shard throughput must reach
 min_speedup_2_shards x the single-shard point — a breach means the scale-out
 path serialized somewhere (the router collecting before every shard was

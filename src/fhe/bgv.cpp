@@ -51,17 +51,16 @@ double Bgv::predicted_budget_bits(const Ciphertext& ct) const {
   return NoiseEstimator(params_).budget(ct.noise_bits, ct.level);
 }
 
-void Bgv::auto_switch_inplace(Ciphertext& a, double margin) const {
+void Bgv::auto_switch_inplace(Ciphertext& a) const {
   const NoiseEstimator est(params_);
   const std::size_t target =
-      est.auto_drop_target(a.noise_bits, a.level, a.size(), margin);
+      est.auto_drop_target(a.noise_bits, a.level, a.size());
   if (target < a.level) mod_switch_to(a, target);
 }
 
-void Bgv::trim_output_inplace(Ciphertext& a, double keep_bits) const {
+void Bgv::trim_output_inplace(Ciphertext& a) const {
   const NoiseEstimator est(params_);
-  const std::size_t target =
-      est.trim_target(a.noise_bits, a.level, a.size(), keep_bits);
+  const std::size_t target = est.trim_target(a.noise_bits, a.level, a.size());
   if (target < a.level) mod_switch_to(a, target);
 }
 

@@ -214,18 +214,18 @@ class Bgv {
 
   // --- Noise-aware scheduling / circuit profiling.
   /// Automatic mod-switch scheduler: drop primes (one fused mod_switch_to)
-  /// while the tracked bound says each switch sacrifices at most `margin`
-  /// bits to the rounding floor — i.e. noise_bits - prime_bits >= floor -
-  /// margin, where the floor accounts for the part count (a 3-part tensor
-  /// switch pays an extra ||s^2||_1 on its rounding term). Replaces
-  /// hand-placed switches; simulate() in fhe/param_search.hpp replays the
-  /// identical policy (NoiseEstimator::auto_drop_target).
-  void auto_switch_inplace(Ciphertext& a, double margin = 2.0) const;
+  /// while the tracked bound says each switch sacrifices at most
+  /// kSwitchMarginBits (fhe/noise.hpp) to the rounding floor, where the
+  /// floor accounts for the part count (a 3-part tensor switch pays an
+  /// extra ||s^2||_1 on its rounding term). simulate() in
+  /// fhe/param_search.hpp replays the identical policy
+  /// (NoiseEstimator::auto_drop_target).
+  void auto_switch_inplace(Ciphertext& a) const;
   /// Terminal output trim: drop primes while the tracked bound keeps at
-  /// least `keep_bits` of budget at the reduced level. Applied once to
+  /// least kOutputFloorBits of budget at the reduced level. Applied once to
   /// ciphertexts leaving the server (no further noise-heavy ops), where
   /// surplus levels are pure waste (NoiseEstimator::trim_target).
-  void trim_output_inplace(Ciphertext& a, double keep_bits) const;
+  void trim_output_inplace(Ciphertext& a) const;
   /// Start/stop appending this evaluator's operations to `tape` (SSA node
   /// per op; ciphertexts carry their node id in trace_id). Operands created
   /// before recording started appear as fresh-encryption leaves. Modulus

@@ -19,6 +19,22 @@
 
 namespace poe::fhe {
 
+// The mod-switch scheduler policy: one definition each, read by the live
+// evaluator (Bgv::auto_switch_inplace, Bgv::trim_output_inplace and the
+// coefficient server's row-aligned drops) and by the parameter-search
+// replay (simulate), so live and replayed schedules cannot disagree.
+
+/// Switch margin: mid-circuit, a prime is dropped while noise - prime_bits
+/// >= floor - kSwitchMarginBits, i.e. each switch may sacrifice at most
+/// this many bits of budget to the rounding floor (auto_drop_target).
+inline constexpr double kSwitchMarginBits = 2.0;
+
+/// Output floor: a ciphertext handed back to a client is trimmed to the
+/// lowest level whose tracked budget still clears this many bits
+/// (trim_target), and the parameter search accepts only chains whose
+/// replayed outputs clear it. The CI noise smoke's band_low.
+inline constexpr double kOutputFloorBits = 8.0;
+
 class NoiseEstimator {
  public:
   explicit NoiseEstimator(const BgvParams& params)
@@ -105,21 +121,22 @@ class NoiseEstimator {
   double mod_switch(double a) const { return mod_switch(a, 2); }
 
   /// Greedy scheduler core: the lowest level reachable from (noise_bits,
-  /// level) by switches that each sacrifice at most `margin` bits of budget
-  /// to the rounding floor — i.e. while noise - prime_bits >= floor -
-  /// margin. The tolerance makes the policy CONTRACTING: two runs whose
-  /// bounds differ slightly (different nonce scalars, a native vs an
-  /// ingest-switched tenant key) drop at the same points and both clamp
-  /// to the floor, instead of bifurcating into different schedules when one
-  /// of them misses a strict budget-free threshold by a fraction of a bit.
+  /// level) by switches that each sacrifice at most kSwitchMarginBits of
+  /// budget to the rounding floor — i.e. while noise - prime_bits >=
+  /// floor - kSwitchMarginBits. The tolerance makes the policy CONTRACTING:
+  /// two runs whose bounds differ slightly (different nonce scalars, a
+  /// native vs an ingest-switched tenant key) drop at the same points and
+  /// both clamp to the floor, instead of bifurcating into different
+  /// schedules when one of them misses a strict budget-free threshold by a
+  /// fraction of a bit.
   /// One policy, three users: Bgv::auto_switch_inplace, the servers'
   /// row-aligned vector variant, and the parameter-search replay
   /// (simulate).
   std::size_t auto_drop_target(double noise_bits, std::size_t level,
-                               std::size_t parts, double margin) const {
+                               std::size_t parts) const {
     const double floor = mod_switch_floor(parts);
     while (level > 1 &&
-           noise_bits - params_.prime_bits >= floor - margin) {
+           noise_bits - params_.prime_bits >= floor - kSwitchMarginBits) {
       noise_bits = mod_switch(noise_bits, parts);
       --level;
     }
@@ -127,17 +144,17 @@ class NoiseEstimator {
   }
 
   /// Terminal right-sizing for ciphertexts leaving the server: the lowest
-  /// level reachable while the bound-derived budget stays >= keep_bits.
-  /// Unlike auto_drop_target (which only takes near-free switches mid-
-  /// circuit), the trim deliberately SPENDS surplus budget — once no more
-  /// noise-heavy ops follow, any level beyond the safety band is wasted
-  /// modulus: larger download, slower decryption, and the very parameter
-  /// surplus the search exists to eliminate.
+  /// level reachable while the bound-derived budget stays >=
+  /// kOutputFloorBits. Unlike auto_drop_target (which only takes
+  /// near-free switches mid-circuit), the trim deliberately SPENDS surplus
+  /// budget — once no more noise-heavy ops follow, any level beyond the
+  /// safety band is wasted modulus: larger download, slower decryption, and
+  /// the very parameter surplus the search exists to eliminate.
   std::size_t trim_target(double noise_bits, std::size_t level,
-                          std::size_t parts, double keep_bits) const {
+                          std::size_t parts) const {
     while (level > 1) {
       const double dropped = mod_switch(noise_bits, parts);
-      if (budget(dropped, level - 1) < keep_bits) break;
+      if (budget(dropped, level - 1) < kOutputFloorBits) break;
       noise_bits = dropped;
       --level;
     }

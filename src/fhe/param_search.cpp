@@ -51,8 +51,7 @@ struct WorkModel {
 
 }  // namespace
 
-SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
-                   const ModSwitchPolicy& policy, double band_low) {
+SimResult simulate(const CircuitProfile& profile, const BgvParams& params) {
   const NoiseEstimator est(params);
   const WorkModel wm(params);
   const std::size_t top = params.num_primes;
@@ -161,11 +160,10 @@ SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
         break;
     }
 
-    // Greedy scheduler: drop while the switch is budget-free with `margin`
-    // bits to spare — the same auto_drop_target policy as
+    // Greedy scheduler: drop while the switch costs at most
+    // kSwitchMarginBits — the same auto_drop_target policy as
     // Bgv::auto_switch_inplace.
-    align_to(s, est.auto_drop_target(s.noise, s.level, s.parts,
-                                     policy.margin));
+    align_to(s, est.auto_drop_target(s.noise, s.level, s.parts));
 
     const double budget = est.budget(s.noise, s.level);
     r.min_budget = std::min(r.min_budget, budget);
@@ -181,11 +179,11 @@ SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
     // surplus levels on a result leaving the server are spent down to the
     // band floor (they are pure waste — larger download, bigger q than the
     // circuit needs).
-    align_to(s, est.trim_target(s.noise, s.level, s.parts, band_low));
+    align_to(s, est.trim_target(s.noise, s.level, s.parts));
     const double budget = est.budget(s.noise, s.level);
     r.min_output_budget = std::min(r.min_output_budget, budget);
     r.final_level = s.level;
-    if (budget < band_low) ok = false;
+    if (budget < kOutputFloorBits) ok = false;
   }
   if (profile.outputs.empty()) ok = false;
   r.feasible = ok;
@@ -194,8 +192,8 @@ SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
 
 double max_log_q(std::size_t n, SecurityLevel level) {
   if (level == SecurityLevel::kDemo) {
-    // Documented demo posture (EXPERIMENTS.md): the ceiling is the largest
-    // modulus the legacy demo configs ever shipped (18 x 55-bit primes).
+    // Documented demo posture (EXPERIMENTS.md): the ceiling is the
+    // 18x55-bit modulus the pre-right-sizing configs shipped.
     // Right-sizing under it can only SHRINK q at fixed n — security is
     // monotonically no worse than the documented baseline.
     return 990.0;
@@ -245,7 +243,7 @@ SearchResult search_params(const CircuitProfile& profile,
                          .prime_bits = pb,
                          .relin_digit_bits = db,
                          .seed = c.seed};
-          const SimResult sim = simulate(profile, cand, c.policy, c.band_low);
+          const SimResult sim = simulate(profile, cand);
           best.candidates_tried += 1;
           if (!sim.feasible) continue;
           const double log_q = static_cast<double>(np) * pb;

@@ -2,14 +2,19 @@
 //
 // The pipeline has three stages:
 //
-//   1. RECORD. A dry run of the transcipher circuit under any working
-//      parameter set appends one TapeNode per noise-relevant operation to a
+//   1. RECORD. A dry run of the transcipher circuit under the checked-in
+//      config appends one TapeNode per noise-relevant operation to a
 //      NoiseTape (Bgv::begin_recording). The tape is an SSA-style flattened
 //      DAG — node ids are operand references — and is deliberately
 //      PARAMETER-INDEPENDENT: modulus switches are never recorded (the
 //      replay schedules its own) and no node carries n, t, prime counts or
 //      digit sizes. Together with the ExecContext counter delta this forms
-//      a CircuitProfile.
+//      a CircuitProfile. Two recordings of one config give the same DAG
+//      but not the same node ORDER: rows evaluated in parallel_for append
+//      in whatever order the threads reach the tape. The replay visits
+//      nodes in any topological order to the same result, so the search
+//      result does not depend on the order (param_search_test checks this
+//      at the default thread count).
 //
 //   2. REPLAY. simulate() re-evaluates the tape's NoiseEstimator bounds
 //      under a *candidate* BgvParams, applying the same greedy
@@ -20,7 +25,7 @@
 //   3. SEARCH. search_params() sweeps (n, num_primes, prime_bits,
 //      relin_digit_bits) under a security ceiling on log2(q) (HE-standard
 //      style table checked in below), keeps candidates whose replayed
-//      budget clears the requested band, and returns the cheapest by the
+//      output budget clears kOutputFloorBits, and returns the cheapest by the
 //      work model. The chosen configs are pasted into protocol.cpp and a
 //      fixed-point test re-derives them so they cannot drift.
 #pragma once
@@ -91,17 +96,9 @@ struct CircuitProfile {
   CounterSnapshot ops;
 };
 
-/// The greedy scheduler knob shared by replay and the live evaluator: a
-/// prime is dropped as soon as noise - prime_bits >= floor - margin, i.e.
-/// each switch may sacrifice at most `margin` bits of budget to the
-/// rounding floor (see NoiseEstimator::auto_drop_target for why the
-/// tolerance makes the schedule robust to sub-bit bound differences).
-struct ModSwitchPolicy {
-  double margin = 2.0;
-};
-
 struct SimResult {
-  bool feasible = false;        ///< every node decryptable, outputs clear band_low
+  bool feasible = false;        ///< every node decryptable, outputs clear
+                                ///< kOutputFloorBits
   double min_budget = 0.0;      ///< worst bound-derived budget at any node
   double min_output_budget = 0.0;
   std::size_t final_level = 0;  ///< level of the last output node
@@ -109,18 +106,18 @@ struct SimResult {
   double work = 0.0;            ///< relative cost (limb-weighted op model)
 };
 
-/// Replay `profile` under `params`: NoiseEstimator bounds per node, greedy
-/// mod-switch policy after every node, operand levels aligned like
-/// match_levels. band_low is the budget the output nodes must clear.
-SimResult simulate(const CircuitProfile& profile, const BgvParams& params,
-                   const ModSwitchPolicy& policy, double band_low);
+/// Replay `profile` under `params`: NoiseEstimator bounds per node, the
+/// greedy mod-switch policy (kSwitchMarginBits) after every node, operand
+/// levels aligned like match_levels, and the output trim to
+/// kOutputFloorBits — the budget the output nodes must clear.
+SimResult simulate(const CircuitProfile& profile, const BgvParams& params);
 
 enum class SecurityLevel {
   /// The repo's documented demo posture (EXPERIMENTS.md): rings sized for
   /// speed, not security. The ceiling only enforces "no more modulus than
-  /// the legacy demo configs already shipped", so right-sizing can shrink q
-  /// (strictly improving security at fixed n) but never grow past the
-  /// documented baseline.
+  /// the 18x55-bit modulus the pre-right-sizing configs shipped", so
+  /// right-sizing can shrink q (strictly improving security at fixed n) but
+  /// never grow past the documented baseline.
   kDemo,
   /// HE-standard-style 128-bit classical ceiling (ternary secret).
   k128Classical,
@@ -131,12 +128,9 @@ double max_log_q(std::size_t n, SecurityLevel level);
 
 struct SearchConstraints {
   SecurityLevel security = SecurityLevel::kDemo;
-  ModSwitchPolicy policy;
-  /// Safety band for the steady-state output budget: the search requires
-  /// predicted output budget >= band_low; band_high is not a search input
-  /// (the CI smoke enforces measured budget <= band_high to catch surplus
-  /// regressions) but is carried into reports.
-  double band_low = 8.0;
+  /// Ceiling of the steady-state output budget band whose floor is
+  /// kOutputFloorBits. Not a search input (the CI noise smoke enforces
+  /// measured budget <= band_high to catch surplus regressions).
   double band_high = 40.0;
   std::uint64_t t = 65537;      ///< plaintext modulus (must match the cipher)
   std::size_t min_n = 1024;     ///< slot-layout floor: 2t_pasta | n/2

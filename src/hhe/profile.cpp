@@ -12,9 +12,10 @@ namespace poe::hhe {
 namespace {
 using u64 = std::uint64_t;
 
-// Deterministic nonzero key material mod p (the tape's structure does not
-// depend on the values, only the mul_scalar magnitudes do — fixing them
-// keeps the recorded profile, and hence the search result, reproducible).
+// Deterministic nonzero key material mod p. With it and the fixed nonces
+// below (which fix every mul_scalar magnitude on the tape), every
+// recording of one config describes the same DAG; the node ORDER still
+// varies above one thread (see profile.hpp).
 std::vector<u64> profile_key(const pasta::PastaParams& params) {
   std::vector<u64> key(params.key_size());
   u64 x = 0x9e3779b97f4a7c15ull;

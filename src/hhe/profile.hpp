@@ -1,12 +1,15 @@
 // Instrumented dry runs of the transcipher servers, producing the
 // CircuitProfiles the parameter search replays (fhe/param_search.hpp).
 //
-// Each recorder builds a throwaway Bgv under the given (known-working,
-// normally *_legacy) config, turns on Bgv::begin_recording, runs the real
-// server code path end to end, and packages the tape, the output node ids
-// and the ExecContext counter delta. The tape is parameter-independent —
-// replaying it under candidate BgvParams is how search_params right-sizes
-// the chain — so recording under the oversized legacy config is fine.
+// Each recorder builds a throwaway Bgv under the given config (the
+// checked-in one: the search's fixed point), turns on
+// Bgv::begin_recording, runs the real server code path end to end, and
+// packages the tape, the output node ids and the ExecContext counter
+// delta. The tape is parameter-independent — replaying it under candidate
+// BgvParams is how search_params right-sizes the chain. It is reproducible
+// as a DAG but not in node order: rows evaluated in parallel_for append in
+// thread arrival order, so above one thread two recordings number the
+// nodes differently (the search result is the same).
 #pragma once
 
 #include "fhe/param_search.hpp"

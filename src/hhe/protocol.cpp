@@ -14,86 +14,41 @@ using fhe::Ciphertext;
 using u64 = std::uint64_t;
 }  // namespace
 
-// The hand-chosen legacy parameter sets. Kept verbatim: they are the
-// hand-placed mod-switch reference configs for the differential suite and
-// the baseline the right-sizing speedup benches compare against.
-HheConfig HheConfig::demo_legacy() {
+// The BgvParams below are pasted from the output of the circuit-profile
+// parameter search (build/bench/bench_param_search — record the circuit
+// under the config itself, replay it under candidates, pick the cheapest
+// chain whose predicted output budget clears the output floor under the
+// security table). A fixed-point test re-runs profile + search and
+// EXPECT_EQs these numbers, so they cannot drift from the search tool or
+// the table.
+HheConfig HheConfig::demo() {
   HheConfig cfg;
   cfg.pasta = pasta::pasta4();  // t = 32, 4 rounds, p = 65537
-  cfg.bgv = fhe::BgvParams{.n = 2048,
-                           .t = cfg.pasta.p,
-                           .num_primes = 12,
-                           .prime_bits = 45,
-                           .relin_digit_bits = 23,
-                           .seed = 11};
-  return cfg;
-}
-
-HheConfig HheConfig::test_legacy() {
-  HheConfig cfg;
-  cfg.pasta = pasta::PastaParams{
-      .t = 8, .rounds = 4, .p = 65537, .name = "PASTA-mini"};
-  cfg.bgv = fhe::BgvParams{.n = 1024,
-                           .t = cfg.pasta.p,
-                           .num_primes = 12,
-                           .prime_bits = 40,
-                           .relin_digit_bits = 20,
-                           .seed = 11};
-  return cfg;
-}
-
-// The batched engine multiplies by *dense* encoded diagonals and masks, so
-// each round inflates the noise by ~||pt|| * n (about 2^27..2^33) on top of
-// the squaring. The legacy chains clamp that with a fixed
-// 3-drops-per-squaring schedule over 18 x 55-bit primes.
-HheConfig HheConfig::batched_demo_legacy() {
-  HheConfig cfg = demo_legacy();
-  cfg.bgv.num_primes = 18;
-  cfg.bgv.prime_bits = 55;
-  cfg.bgv.relin_digit_bits = 28;
-  return cfg;
-}
-
-HheConfig HheConfig::batched_test_legacy() {
-  HheConfig cfg = test_legacy();
-  cfg.bgv.num_primes = 18;
-  cfg.bgv.prime_bits = 55;
-  cfg.bgv.relin_digit_bits = 28;
-  return cfg;
-}
-
-// Right-sized configs: the BgvParams below are pasted from the output of
-// the circuit-profile parameter search (build/bench/bench_param_search —
-// record the circuit, replay it under candidates, pick the cheapest chain
-// whose predicted output budget clears the safety band under the security
-// table). A fixed-point test re-runs profile + search and EXPECT_EQs these
-// numbers, so they cannot drift from the search tool or the table. All four
-// run the automatic mod-switch scheduler — their chains are too short for
-// the legacy hand placement.
-HheConfig HheConfig::demo() {
-  HheConfig cfg = demo_legacy();
   cfg.bgv = fhe::BgvParams{.n = 1024,
                            .t = cfg.pasta.p,
                            .num_primes = 11,
                            .prime_bits = 48,
                            .relin_digit_bits = 24,
                            .seed = 11};
-  cfg.auto_mod_switch = true;
   return cfg;
 }
 
 HheConfig HheConfig::test() {
-  HheConfig cfg = test_legacy();
+  HheConfig cfg;
+  cfg.pasta = pasta::PastaParams{
+      .t = 8, .rounds = 4, .p = 65537, .name = "PASTA-mini"};
   cfg.bgv = fhe::BgvParams{.n = 1024,
                            .t = cfg.pasta.p,
                            .num_primes = 8,
                            .prime_bits = 57,
                            .relin_digit_bits = 30,
                            .seed = 11};
-  cfg.auto_mod_switch = true;
   return cfg;
 }
 
+// The batched engine multiplies by *dense* encoded diagonals and masks, so
+// each round inflates the noise by ~||pt|| * n (about 2^27..2^33) on top of
+// the squaring: its chains are longer than the coefficient server's.
 HheConfig HheConfig::batched_demo() {
   HheConfig cfg = demo();
   cfg.bgv = fhe::BgvParams{.n = 1024,
@@ -190,21 +145,20 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   std::vector<Ciphertext> right(key_cts_.begin() + static_cast<long>(t),
                                 key_cts_.end());
 
-  const bool auto_sched = config_.auto_mod_switch;
   const fhe::NoiseEstimator est(config_.bgv);
-  // Auto mode drops whole state vectors to one collectively-safe target
-  // (greedy on the worst tracked bound, the shared auto_drop_target policy)
+  // Drops take whole state vectors to one collectively-safe target (greedy
+  // on the worst tracked bound, the shared auto_drop_target policy)
   // instead of per-ciphertext: rows carry slightly different bounds (the
   // mul_scalar term depends on the coefficient magnitude), and a uniform
   // target keeps them level-aligned for the cross-row additions of mix and
   // the affine layers.
   auto auto_drop2 = [&](std::span<Ciphertext> a, std::span<Ciphertext> b) {
-    if (!auto_sched || a.empty()) return;
+    if (a.empty()) return;
     double worst = 0.0;
     for (const auto& ct : a) worst = std::max(worst, ct.noise_bits);
     for (const auto& ct : b) worst = std::max(worst, ct.noise_bits);
-    const std::size_t target = est.auto_drop_target(
-        worst, a.front().level, a.front().size(), config_.switch_margin);
+    const std::size_t target =
+        est.auto_drop_target(worst, a.front().level, a.front().size());
     if (target == a.front().level) return;
     for (auto& ct : a) bgv_.mod_switch_to(ct, target);
     for (auto& ct : b) bgv_.mod_switch_to(ct, target);
@@ -215,9 +169,9 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   // evaluated in parallel (the Bgv evaluator's const methods only read
   // shared key material).
   //
-  // In auto mode the accumulator must be allowed to drop primes MID-row:
-  // one affine layer inflates the bound by ~log2(t/2) + log2(t) bits, which
-  // on a short right-sized chain can exceed a whole prime — waiting for the
+  // The accumulator must be allowed to drop primes MID-row: one affine
+  // layer inflates the bound by ~log2(t/2) + log2(t) bits, which on a short
+  // right-sized chain can exceed a whole prime — waiting for the
   // end-of-layer barrier piles noise past what the last primes can absorb.
   // Rows still have to stay level-aligned, so the drop positions are
   // planned once per layer from worst-case bounds (|scalar| <= t/2, worst
@@ -228,28 +182,25 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
                          const std::vector<u64>& rc) {
     const std::size_t start_level = x[0].level;
     std::vector<std::size_t> lvl_after(t, start_level);
-    if (auto_sched) {
-      double worst_in = 0.0;
-      for (const auto& ct : x) worst_in = std::max(worst_in, ct.noise_bits);
-      const double term = est.mul_scalar(worst_in, config_.bgv.t / 2);
-      double acc = term;
-      std::size_t lvl = start_level;
-      for (std::size_t j = 0; j < t; ++j) {
-        if (j > 0) {
-          double tj = term;
-          for (std::size_t l = start_level; l > lvl; --l) {
-            tj = est.mod_switch(tj);
-          }
-          acc = est.add(acc, tj);
+    double worst_in = 0.0;
+    for (const auto& ct : x) worst_in = std::max(worst_in, ct.noise_bits);
+    const double term_bound = est.mul_scalar(worst_in, config_.bgv.t / 2);
+    double acc_bound = term_bound;
+    std::size_t lvl = start_level;
+    for (std::size_t j = 0; j < t; ++j) {
+      if (j > 0) {
+        double tj = term_bound;
+        for (std::size_t l = start_level; l > lvl; --l) {
+          tj = est.mod_switch(tj);
         }
-        const std::size_t target =
-            est.auto_drop_target(acc, lvl, 2, config_.switch_margin);
-        while (lvl > target) {
-          acc = est.mod_switch(acc);
-          --lvl;
-        }
-        lvl_after[j] = lvl;
+        acc_bound = est.add(acc_bound, tj);
       }
+      const std::size_t target = est.auto_drop_target(acc_bound, lvl, 2);
+      while (lvl > target) {
+        acc_bound = est.mod_switch(acc_bound);
+        --lvl;
+      }
+      lvl_after[j] = lvl;
     }
     std::vector<Ciphertext> out(t);
     parallel_for(t, [&](std::size_t i) {
@@ -278,27 +229,17 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
       bgv_.add_inplace(left[i], sum);
       bgv_.add_inplace(right[i], sum);
     }
-    // Post-mix is the noisiest point of the linear layer; in auto mode
-    // drop both halves together here.
+    // Post-mix is the noisiest point of the linear layer: drop both halves
+    // together here.
     auto_drop2(left, right);
   };
 
-  // Square with a fixed 2-level schedule: multiply_relin drops one prime;
-  // one more switch returns the noise to the floor.
-  // NOTE: square_reduced runs inside parallel_for; the report counters are
-  // updated by the caller afterwards to avoid data races.
-  auto square_reduced = [&](const Ciphertext& x) {
-    Ciphertext sq = bgv_.multiply_relin(x, x);
-    bgv_.mod_switch_inplace(sq);
-    return sq;
-  };
-
-  // Auto-scheduled squaring of a whole vector: tensor in parallel, drop the
-  // 3-part results while the shrink is cheapest (before relinearisation's
-  // per-prime digit work), relinearise, drop again. Each drop is collective
-  // so the vector stays level-aligned.
-  auto square_vec_auto = [&](const std::vector<Ciphertext>& x,
-                             std::size_t count) {
+  // Squaring of a whole vector: tensor in parallel, drop the 3-part results
+  // while the shrink is cheapest (before relinearisation's per-prime digit
+  // work), relinearise, drop again. Each drop is collective so the vector
+  // stays level-aligned.
+  auto square_vec = [&](const std::vector<Ciphertext>& x,
+                        std::size_t count) {
     std::vector<Ciphertext> sq(count);
     parallel_for(count,
                  [&](std::size_t j) { sq[j] = bgv_.multiply(x[j], x[j]); });
@@ -310,14 +251,7 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   };
 
   auto feistel = [&](std::vector<Ciphertext>& x) {
-    std::vector<Ciphertext> sq;
-    if (auto_sched) {
-      sq = square_vec_auto(x, t - 1);
-    } else {
-      sq.resize(t - 1);
-      parallel_for(t - 1,
-                   [&](std::size_t j) { sq[j] = square_reduced(x[j]); });
-    }
+    const std::vector<Ciphertext> sq = square_vec(x, t - 1);
     rep.ct_ct_multiplications += t - 1;
     const std::size_t level = sq.front().level;
     for (std::size_t j = t; j-- > 1;) {
@@ -328,23 +262,14 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   };
 
   auto cube = [&](std::vector<Ciphertext>& x) {
-    if (auto_sched) {
-      std::vector<Ciphertext> sq = square_vec_auto(x, t);
-      parallel_for(t, [&](std::size_t j) {
-        bgv_.mod_switch_to(x[j], sq[j].level);
-        x[j] = bgv_.multiply(sq[j], x[j]);
-      });
-      auto_drop(x);
-      parallel_for(t, [&](std::size_t j) { bgv_.relinearize_inplace(x[j]); });
-      auto_drop(x);
-    } else {
-      parallel_for(t, [&](std::size_t j) {
-        Ciphertext sq = square_reduced(x[j]);
-        bgv_.mod_switch_to(x[j], sq.level);
-        x[j] = bgv_.multiply_relin(sq, x[j]);
-        bgv_.mod_switch_inplace(x[j]);
-      });
-    }
+    const std::vector<Ciphertext> sq = square_vec(x, t);
+    parallel_for(t, [&](std::size_t j) {
+      bgv_.mod_switch_to(x[j], sq[j].level);
+      x[j] = bgv_.multiply(sq[j], x[j]);
+    });
+    auto_drop(x);
+    parallel_for(t, [&](std::size_t j) { bgv_.relinearize_inplace(x[j]); });
+    auto_drop(x);
     rep.ct_ct_multiplications += 2 * t;  // square + final multiplication
   };
 
@@ -369,15 +294,12 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
   // The keystream rows leave the server next: spend surplus levels down to
   // the safety band. One collective target (worst row bound) keeps the rows
   // level-aligned for the caller's final add.
-  if (auto_sched) {
-    double worst = 0.0;
-    for (const auto& ct : left) worst = std::max(worst, ct.noise_bits);
-    const std::size_t target =
-        est.trim_target(worst, left.front().level, left.front().size(),
-                        config_.output_budget_bits);
-    if (target < left.front().level) {
-      for (auto& ct : left) bgv_.mod_switch_to(ct, target);
-    }
+  double worst = 0.0;
+  for (const auto& ct : left) worst = std::max(worst, ct.noise_bits);
+  const std::size_t target =
+      est.trim_target(worst, left.front().level, left.front().size());
+  if (target < left.front().level) {
+    for (auto& ct : left) bgv_.mod_switch_to(ct, target);
   }
 
   rep.final_level = left.front().level;

@@ -28,21 +28,12 @@
 
 namespace poe::hhe {
 
+/// The cipher and the BGV parameters it is evaluated under. Every server
+/// schedules its modulus switches automatically from the tracked noise
+/// bound (fhe/noise.hpp has the policy).
 struct HheConfig {
   pasta::PastaParams pasta;
   fhe::BgvParams bgv;
-  /// Let the servers schedule modulus switches automatically from the
-  /// tracked noise bound (Bgv::auto_switch_inplace) instead of the
-  /// hand-placed drop schedule. The right-sized configs below require this:
-  /// their chains are too short for the legacy fixed 3-drops-per-squaring
-  /// placement.
-  bool auto_mod_switch = false;
-  double switch_margin = 2.0;  ///< headroom bits for the greedy scheduler
-  /// Safety-band floor for ciphertexts handed back to clients: with
-  /// auto_mod_switch the servers trim surplus levels off their outputs
-  /// (Bgv::trim_output_inplace) while the tracked bound keeps at least
-  /// this much budget. Matches SearchConstraints::band_low.
-  double output_budget_bits = 8.0;
 
   /// PASTA-4 over p = 65537 with a BGV ring deep enough for the full
   /// 4-round decryption circuit. NOTE: ring dimension is sized for speed,
@@ -58,15 +49,6 @@ struct HheConfig {
   /// for the dense-diagonal noise growth.
   static HheConfig batched_demo();
   static HheConfig batched_test();
-
-  /// The pre-right-sizing parameter sets (hand-chosen, uniformly oversized
-  /// — every run ended with a ~91-bit budget surplus), kept as the
-  /// hand-placed-schedule reference for the differential suite and as the
-  /// baseline for the right-sizing speedup benches.
-  static HheConfig demo_legacy();
-  static HheConfig test_legacy();
-  static HheConfig batched_demo_legacy();
-  static HheConfig batched_test_legacy();
 };
 
 /// Plaintext-side precomputation for one keystream block: the public

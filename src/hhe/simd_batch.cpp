@@ -272,26 +272,18 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
     }
     bgv_.add_plain_inplace(acc, batch.rc[l]);
     state = std::move(acc);
-    if (config_.auto_mod_switch) {
-      bgv_.auto_switch_inplace(state, config_.switch_margin);
-    }
+    bgv_.auto_switch_inplace(state);
   };
 
-  // The dense diagonals inflate the noise by ~||pt|| * n per layer. The drops run
-  // fused on the 3-part tensor BEFORE relinearising, so the relin digit
-  // decomposition works at the lower level; auto mode lets the tracked
-  // bound place them instead of the legacy hard-coded three.
+  // The dense diagonals inflate the noise by ~||pt|| * n per layer. The
+  // tracked bound places the drops; the first runs fused on the 3-part
+  // tensor BEFORE relinearising, so the relin digit decomposition works at
+  // the lower level.
   auto square_reduced = [&](const Ciphertext& x) {
     Ciphertext sq = bgv_.multiply(x, x);
-    if (config_.auto_mod_switch) {
-      bgv_.auto_switch_inplace(sq, config_.switch_margin);
-    } else {
-      bgv_.mod_switch_to(sq, sq.level - 3);
-    }
+    bgv_.auto_switch_inplace(sq);
     bgv_.relinearize_inplace(sq);
-    if (config_.auto_mod_switch) {
-      bgv_.auto_switch_inplace(sq, config_.switch_margin);
-    }
+    bgv_.auto_switch_inplace(sq);
     ++rep.ct_ct_multiplications;
     return sq;
   };
@@ -307,9 +299,7 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
     // bits); on an elevated trajectory (e.g. an ingest-switched tenant key)
     // that can cross a drop threshold mid-feistel, and the replayed
     // schedule drops here — the live path must offer the same drop point.
-    if (config_.auto_mod_switch) {
-      bgv_.auto_switch_inplace(sq, config_.switch_margin);
-    }
+    bgv_.auto_switch_inplace(sq);
     bgv_.mod_switch_to(state, sq.level);
     bgv_.add_inplace(state, sq);
   };
@@ -318,15 +308,9 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
     Ciphertext sq = square_reduced(state);
     bgv_.mod_switch_to(state, sq.level);
     Ciphertext prod = bgv_.multiply(sq, state);
-    if (config_.auto_mod_switch) {
-      bgv_.auto_switch_inplace(prod, config_.switch_margin);
-    } else {
-      bgv_.mod_switch_to(prod, prod.level - 3);
-    }
+    bgv_.auto_switch_inplace(prod);
     bgv_.relinearize_inplace(prod);
-    if (config_.auto_mod_switch) {
-      bgv_.auto_switch_inplace(prod, config_.switch_margin);
-    }
+    bgv_.auto_switch_inplace(prod);
     state = std::move(prod);
     ++rep.ct_ct_multiplications;
   };
@@ -390,9 +374,7 @@ Ciphertext SimdBatchEngine::extract_tiles(
   bgv_.mul_plain_inplace(out, tile_mask(tiles));
   // Per-tenant results leave the service here — trim surplus levels so the
   // download is no larger than the safety band requires.
-  if (config_.auto_mod_switch) {
-    bgv_.trim_output_inplace(out, config_.output_budget_bits);
-  }
+  bgv_.trim_output_inplace(out);
   return out;
 }
 

@@ -17,6 +17,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using u64 = std::uint64_t;
 
+/// Prepared batches the pipelined producer may buffer ahead of evaluation.
+constexpr std::size_t kPipelineDepth = 2;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -151,8 +154,6 @@ TranscipherService::TranscipherService(
                   : hhe::SimdBatchEngine::make_shared_rotation_keys(config,
                                                                     bgv)) {
   POE_ENSURE(service_config_.max_sessions >= 1, "need at least one session");
-  POE_ENSURE(service_config_.pipeline_depth >= 1,
-             "pipeline depth must be >= 1");
   POE_ENSURE(service_config_.max_stage_attempts >= 1,
              "need at least one stage attempt");
   max_batch_ = engine_.capacity();
@@ -547,7 +548,7 @@ void TranscipherService::execute(Call& call) {
     return;
   }
 
-  BoundedQueue<Prepared> queue(service_config_.pipeline_depth);
+  BoundedQueue<Prepared> queue(kPipelineDepth);
   std::exception_ptr prepare_error;
   std::thread producer([&] {
     try {
@@ -621,28 +622,28 @@ void TranscipherService::evaluate_batch(Call& call, std::size_t j,
   std::unordered_set<u64> dead;
   for (const u64 tenant : tenant_order) {
     Session& session = sessions_.at(tenant);
-    if (service_config_.validate_sessions) {
-      if (!session.key_ct.parts.empty()) {
-        fault_corrupt(exec, "service.key.corrupt",
+    // Decrypt-free plausibility check of the session key (the chaos sites
+    // corrupt it first); a failure quarantines the tenant's tiles.
+    if (!session.key_ct.parts.empty()) {
+      fault_corrupt(exec, "service.key.corrupt",
+                    session.key_ct.parts[0].rns(0));
+      if (tenant_order.size() > 1) {
+        // Packed-batch-specific site: poison a key mid-pack (arm with
+        // `after` to hit the second or later tenant of the batch).
+        fault_corrupt(exec, "service.pack.key.corrupt",
                       session.key_ct.parts[0].rns(0));
-        if (tenant_order.size() > 1) {
-          // Packed-batch-specific site: poison a key mid-pack (arm with
-          // `after` to hit the second or later tenant of the batch).
-          fault_corrupt(exec, "service.pack.key.corrupt",
-                        session.key_ct.parts[0].rns(0));
+      }
+    }
+    if (auto why = fhe::validate_ciphertext(bgv_.rns(), session.key_ct)) {
+      dead.insert(tenant);
+      for (const std::size_t i : tiles_of[tenant]) {
+        TranscipherResult& res = call.results[job.refs[i].request];
+        if (res.status == RequestStatus::kOk) {
+          res.status = RequestStatus::kQuarantined;
+          res.error = "session key implausible: " + *why;
         }
       }
-      if (auto why = fhe::validate_ciphertext(bgv_.rns(), session.key_ct)) {
-        dead.insert(tenant);
-        for (const std::size_t i : tiles_of[tenant]) {
-          TranscipherResult& res = call.results[job.refs[i].request];
-          if (res.status == RequestStatus::kOk) {
-            res.status = RequestStatus::kQuarantined;
-            res.error = "session key implausible: " + *why;
-          }
-        }
-        continue;
-      }
+      continue;
     }
     live.push_back(hhe::TenantTiles{&session.key_ct, tiles_of[tenant]});
     live_ids.push_back(tenant);

@@ -61,7 +61,6 @@ namespace poe::service {
 struct ServiceConfig {
   std::size_t max_sessions = 8;     ///< LRU-evict beyond this many clients
   std::size_t max_batch_blocks = 0; ///< 0 = the engine's full capacity
-  std::size_t pipeline_depth = 2;   ///< prepared batches buffered ahead
   bool pipelined = true;            ///< false: prepare+evaluate in sequence
   std::size_t max_tracked_nonces = 1024;  ///< replay window per session
 
@@ -87,9 +86,6 @@ struct ServiceConfig {
   /// Bounded producer wait on a saturated pipeline queue; on expiry the
   /// batch is shed as kOverloaded. 0 = block indefinitely (no shedding).
   double queue_push_timeout_s = 0;
-  /// Decrypt-free plausibility check of the session key before each batch
-  /// evaluation; failures quarantine the batch (kQuarantined).
-  bool validate_sessions = true;
 };
 
 /// One client request: transcipher a whole PASTA-encrypted message.

@@ -62,8 +62,10 @@ Stack& stack() {
 // is the expensive part). Tests isolate through fresh client ids and
 // globally fresh nonces; every test begins by reviving anything a previous
 // test killed.
+// A static object, not a leaked pointer: its destructor joins every
+// serving thread at exit.
 LocalCluster& cluster() {
-  static LocalCluster* c = [] {
+  static LocalCluster c(stack().config, stack().bgv.rns(), [] {
     ClusterConfig cc;
     cc.shards = 2;
     // Sequential shards: per-site arrival order is exactly the frame order,
@@ -73,9 +75,9 @@ LocalCluster& cluster() {
     cc.service.backoff_base_s = 1e-4;
     cc.service.stage_timeout_s = 2.0;
     cc.router.peer_timeout_s = 2.0;
-    return new LocalCluster(stack().config, stack().bgv.rns(), cc);
-  }();
-  return *c;
+    return cc;
+  }());
+  return c;
 }
 
 u64 fresh_nonce() {

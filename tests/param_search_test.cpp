@@ -1,6 +1,6 @@
 // Noise-aware parameter right-sizing: soundness of the tracked bound,
 // replay feasibility, the search fixed point that pins protocol.cpp's
-// checked-in configs, and the auto-vs-hand-placed schedule differential.
+// checked-in configs, and what a recording reproduces.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -8,13 +8,10 @@
 
 #include "common/rng.hpp"
 #include "fhe/bgv.hpp"
-#include "fhe/encoding.hpp"
 #include "fhe/noise.hpp"
 #include "fhe/param_search.hpp"
-#include "hhe/batched_server.hpp"
 #include "hhe/profile.hpp"
 #include "hhe/protocol.hpp"
-#include "hhe/simd_batch.hpp"
 #include "kernels/backend.hpp"
 
 namespace poe::fhe {
@@ -145,15 +142,16 @@ TEST(NoiseEstimator, TrimSpendsSurplusButKeepsTheBand) {
   const NoiseEstimator est(params);
   const double floor = est.mod_switch_floor(2);
   // Plenty of surplus: the trim should walk down to the last level whose
-  // post-switch budget still clears keep_bits.
-  const std::size_t target = est.trim_target(floor, 12, 2, 8.0);
+  // post-switch budget still clears the output floor.
+  const std::size_t target = est.trim_target(floor, 12, 2);
   ASSERT_LT(target, 12u);
   double noise = floor;
   for (std::size_t lvl = 12; lvl > target; --lvl) noise = est.mod_switch(noise, 2);
-  EXPECT_GE(est.budget(noise, target), 8.0);
+  EXPECT_GE(est.budget(noise, target), kOutputFloorBits);
   // One more drop would violate the band (or the level floor).
   if (target > 1) {
-    EXPECT_LT(est.budget(est.mod_switch(noise, 2), target - 1), 8.0);
+    EXPECT_LT(est.budget(est.mod_switch(noise, 2), target - 1),
+              kOutputFloorBits);
   }
 }
 
@@ -166,8 +164,8 @@ TEST(NoiseEstimator, AutoDropTargetIsContracting) {
   const NoiseEstimator est(params);
   const double hi = 120.0;
   for (double delta = 0.25; delta <= 8.0; delta *= 2.0) {
-    EXPECT_EQ(est.auto_drop_target(hi, 12, 2, 2.0),
-              est.auto_drop_target(hi + delta, 12, 2, 2.0))
+    EXPECT_EQ(est.auto_drop_target(hi, 12, 2),
+              est.auto_drop_target(hi + delta, 12, 2))
         << "delta=" << delta;
   }
 }
@@ -176,69 +174,92 @@ TEST(NoiseEstimator, AutoDropTargetIsContracting) {
 // feasible with the output budget inside the safety band — and a chain too
 // short for the circuit must be rejected.
 TEST(Simulate, CheckedInParamsAreFeasible) {
-  const hhe::HheConfig legacy = hhe::HheConfig::batched_test_legacy();
   const hhe::HheConfig checked_in = hhe::HheConfig::batched_test();
-  const CircuitProfile profile = hhe::record_batched_profile(legacy);
+  const CircuitProfile profile = hhe::record_batched_profile(checked_in);
   ASSERT_FALSE(profile.tape.empty());
   ASSERT_FALSE(profile.outputs.empty());
 
-  const SearchConstraints c;
-  const SimResult ok =
-      simulate(profile, checked_in.bgv, c.policy, c.band_low);
+  const SimResult ok = simulate(profile, checked_in.bgv);
   EXPECT_TRUE(ok.feasible);
-  EXPECT_GE(ok.min_output_budget, c.band_low);
-  EXPECT_LE(ok.min_output_budget, c.band_high);
+  EXPECT_GE(ok.min_output_budget, kOutputFloorBits);
+  EXPECT_LE(ok.min_output_budget, SearchConstraints{}.band_high);
   EXPECT_GT(ok.mod_switches, 0u);
 
   BgvParams starved = checked_in.bgv;
   starved.num_primes = 2;
-  const SimResult bad = simulate(profile, starved, c.policy, c.band_low);
+  const SimResult bad = simulate(profile, starved);
   EXPECT_FALSE(bad.feasible);
 }
 
-// The fixed point that pins protocol.cpp: re-recording the circuits under
-// the legacy configs and re-running the search must reproduce exactly the
+// Search the profile recorded under `checked_in` itself.
+SearchResult search_recorded(const hhe::HheConfig& checked_in,
+                             const CircuitProfile& profile) {
+  SearchConstraints c;
+  c.t = checked_in.bgv.t;
+  c.seed = checked_in.bgv.seed;
+  return search_params(profile, c);
+}
+
+void expect_params_eq(const BgvParams& got, const BgvParams& expected) {
+  EXPECT_EQ(got.n, expected.n);
+  EXPECT_EQ(got.num_primes, expected.num_primes);
+  EXPECT_EQ(got.prime_bits, expected.prime_bits);
+  EXPECT_EQ(got.relin_digit_bits, expected.relin_digit_bits);
+}
+
+// The fixed point that pins protocol.cpp: recording the circuits under the
+// checked-in configs and re-running the search must reproduce exactly the
 // BgvParams checked into HheConfig::test() / batched_test(). If this fails,
 // either the estimator, the scheduler policy, the security table, or the
 // circuit changed — re-run build/bench/bench_param_search and paste its
 // output into protocol.cpp.
 TEST(SearchFixedPoint, CoefficientTestConfig) {
-  const hhe::HheConfig legacy = hhe::HheConfig::test_legacy();
-  const CircuitProfile profile = hhe::record_coefficient_profile(legacy);
-  SearchConstraints c;
-  c.t = legacy.bgv.t;
-  c.seed = legacy.bgv.seed;
-  c.policy.margin = hhe::HheConfig::test().switch_margin;
-  const SearchResult r = search_params(profile, c);
+  const hhe::HheConfig checked_in = hhe::HheConfig::test();
+  const SearchResult r = search_recorded(
+      checked_in, hhe::record_coefficient_profile(checked_in));
   ASSERT_TRUE(r.found);
-  const BgvParams expected = hhe::HheConfig::test().bgv;
-  EXPECT_EQ(r.params.n, expected.n);
-  EXPECT_EQ(r.params.num_primes, expected.num_primes);
-  EXPECT_EQ(r.params.prime_bits, expected.prime_bits);
-  EXPECT_EQ(r.params.relin_digit_bits, expected.relin_digit_bits);
+  expect_params_eq(r.params, checked_in.bgv);
   EXPECT_LE(r.log_q, r.security_cap);
 }
 
 TEST(SearchFixedPoint, BatchedTestConfig) {
-  const hhe::HheConfig legacy = hhe::HheConfig::batched_test_legacy();
-  const CircuitProfile profile = hhe::record_batched_profile(legacy);
-  SearchConstraints c;
-  c.t = legacy.bgv.t;
-  c.seed = legacy.bgv.seed;
-  c.policy.margin = hhe::HheConfig::batched_test().switch_margin;
-  const SearchResult r = search_params(profile, c);
+  const hhe::HheConfig checked_in = hhe::HheConfig::batched_test();
+  const SearchResult r = search_recorded(
+      checked_in, hhe::record_batched_profile(checked_in));
   ASSERT_TRUE(r.found);
-  const BgvParams expected = hhe::HheConfig::batched_test().bgv;
-  EXPECT_EQ(r.params.n, expected.n);
-  EXPECT_EQ(r.params.num_primes, expected.num_primes);
-  EXPECT_EQ(r.params.prime_bits, expected.prime_bits);
-  EXPECT_EQ(r.params.relin_digit_bits, expected.relin_digit_bits);
+  expect_params_eq(r.params, checked_in.bgv);
   EXPECT_LE(r.log_q, r.security_cap);
 }
 
+// Two recordings of one config describe the same DAG, but above one thread
+// the coefficient server's parallel rows append in arrival order, so node
+// ids differ. Neither the search nor the replay may depend on that order.
+TEST(SearchFixedPoint, RecordingNodeOrderDoesNotChangeTheResult) {
+  const hhe::HheConfig checked_in = hhe::HheConfig::test();
+  const CircuitProfile a = hhe::record_coefficient_profile(checked_in);
+  const CircuitProfile b = hhe::record_coefficient_profile(checked_in);
+  ASSERT_EQ(a.tape.size(), b.tape.size());
+
+  const SearchResult ra = search_recorded(checked_in, a);
+  const SearchResult rb = search_recorded(checked_in, b);
+  ASSERT_TRUE(ra.found);
+  ASSERT_TRUE(rb.found);
+  expect_params_eq(ra.params, rb.params);
+  EXPECT_EQ(ra.log_q, rb.log_q);
+  EXPECT_EQ(ra.candidates_tried, rb.candidates_tried);
+
+  const SimResult sa = simulate(a, checked_in.bgv);
+  const SimResult sb = simulate(b, checked_in.bgv);
+  EXPECT_EQ(sa.feasible, sb.feasible);
+  EXPECT_EQ(sa.min_output_budget, sb.min_output_budget);
+  EXPECT_EQ(sa.final_level, sb.final_level);
+  EXPECT_EQ(sa.mod_switches, sb.mod_switches);
+  EXPECT_EQ(sa.work, sb.work);
+}
+
 TEST(SecurityTable, DemoCeilingNeverGrowsPastLegacy) {
-  // kDemo is "no more modulus than the legacy demo configs shipped":
-  // 18 x 55-bit primes.
+  // kDemo is "no more modulus than the 18x55-bit modulus the
+  // pre-right-sizing configs shipped".
   EXPECT_EQ(max_log_q(1024, SecurityLevel::kDemo), 990.0);
   EXPECT_EQ(max_log_q(32768, SecurityLevel::kDemo), 990.0);
   // The 128-bit classical column is monotone in n and zero off-table.
@@ -249,61 +270,6 @@ TEST(SecurityTable, DemoCeilingNeverGrowsPastLegacy) {
     prev = cap;
   }
   EXPECT_EQ(max_log_q(512, SecurityLevel::k128Classical), 0.0);
-}
-
-// The automatic schedule must be a pure performance change: the same
-// message transciphers identically under the legacy hand-placed schedule
-// and the right-sized auto schedule, on the coefficient server and on the
-// SIMD engine serving one block.
-TEST(AutoScheduleDifferential, CoefficientAutoMatchesHandPlaced) {
-  Xoshiro256 rng(42);
-  for (const bool auto_sched : {false, true}) {
-    const hhe::HheConfig cfg = auto_sched ? hhe::HheConfig::test()
-                                          : hhe::HheConfig::test_legacy();
-    const Bgv bgv(cfg.bgv);
-    Xoshiro256 keyrng(9);
-    const auto key = pasta::PastaCipher::random_key(cfg.pasta, keyrng);
-    hhe::HheClient client(cfg, bgv, key);
-    hhe::HheServer server(cfg, bgv, client.encrypt_key());
-    std::vector<std::uint64_t> msg(cfg.pasta.t);
-    for (auto& m : msg) m = rng.below(cfg.pasta.p);
-    const auto out =
-        server.transcipher_block(client.encrypt(msg, 321), 321, 0);
-    EXPECT_EQ(client.decrypt_result(out), msg)
-        << (auto_sched ? "auto" : "hand-placed") << " schedule";
-    rng = Xoshiro256(42);  // same messages for both schedules
-  }
-}
-
-TEST(AutoScheduleDifferential, BatchedAutoMatchesHandPlaced) {
-  Xoshiro256 rng(43);
-  for (const bool auto_sched : {false, true}) {
-    const hhe::HheConfig cfg = auto_sched
-                                   ? hhe::HheConfig::batched_test()
-                                   : hhe::HheConfig::batched_test_legacy();
-    const Bgv bgv(cfg.bgv);
-    Xoshiro256 keyrng(9);
-    const auto key = pasta::PastaCipher::random_key(cfg.pasta, keyrng);
-    hhe::HheClient client(cfg, bgv, key);
-    BatchEncoder encoder(cfg.bgv.n, cfg.bgv.t);
-    const hhe::SimdBatchEngine engine(cfg, bgv);
-    const Ciphertext key_ct =
-        hhe::encrypt_key_batched(cfg, bgv, encoder, engine.layout(), key);
-    std::vector<std::uint64_t> msg(cfg.pasta.t);
-    for (auto& m : msg) m = rng.below(cfg.pasta.p);
-    const std::vector<hhe::SimdBlockRequest> block{
-        {.nonce = 654, .counter = 0, .symmetric_ct = client.encrypt(msg, 654)}};
-    const std::vector<std::size_t> tiles{0};
-    const std::vector<hhe::TenantTiles> tenant{{&key_ct, tiles}};
-    const Ciphertext out = engine.extract_tiles(
-        engine.evaluate(engine.merge_tenant_keys(tenant),
-                        engine.prepare(block)),
-        tiles);
-    EXPECT_EQ(hhe::SimdBatchEngine::decode_block(cfg, bgv, out, 0, msg.size()),
-              msg)
-        << (auto_sched ? "auto" : "hand-placed") << " schedule";
-    rng = Xoshiro256(43);
-  }
 }
 
 }  // namespace

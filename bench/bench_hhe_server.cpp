@@ -200,8 +200,8 @@ int main() {
   }
 
   // --- Multi-tenant service: the batched circuit amortised over a SIMD
-  // batch of blocks, with plaintext-side preparation pipelined against the
-  // BGV evaluation (see bench_service for the full client-count sweep).
+  // batch of blocks, plaintext-side preparation followed by BGV evaluation
+  // (see bench_service for the full client-count sweep).
   {
     const auto scfg =
         full ? hhe::HheConfig::batched_demo() : hhe::HheConfig::batched_test();

@@ -2,12 +2,11 @@
 //
 // Each client opens a session (cached encrypted PASTA key) and submits one
 // multi-block message; the service packs blocks from DIFFERENT tenants into
-// shared SIMD batches (per-tenant tile ranges, merged masked keys) and
-// overlaps plaintext-side batch preparation (SHAKE squeeze, rejection
-// sampling, matrix generation) with the BGV evaluation of the previous
-// batch — the software analogue of the paper's Fig. 3 schedule. At 8
-// clients x 4 blocks the packed batch is exactly full (32 tiles):
-// occupancy 1.0 where per-client batching idled at 0.125.
+// shared SIMD batches (per-tenant tile ranges, merged masked keys), then
+// prepares each batch (SHAKE squeeze, rejection sampling, matrix
+// generation) and evaluates it under BGV. At 8 clients x 4 blocks the
+// packed batch is exactly full (32 tiles): occupancy 1.0 where per-client
+// batching idled at 0.125.
 //
 // Two reference points anchor the numbers: the same 8-client workload
 // served one process() call per client (per-client batches, the
@@ -21,7 +20,8 @@
 // key-manager process, onboards the clients over the key-manager socket and
 // drives waves through a Router, so the shard-count sweep measures real
 // process-level scale-out over the framed wire protocol. Each point is the
-// median (with quartiles) of several timed waves after a warm wave.
+// median (with quartiles) of several timed waves after a warm wave; waves
+// during which the hypervisor stole CPU time are left out of the median.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -153,10 +153,27 @@ std::vector<std::uint64_t> pick_balanced_clients(std::size_t nshards,
   return ids;
 }
 
-/// Timed waves per multi-process point, after the untimed warm wave. A
-/// single wave is too noisy for the 2-shard floor (single-wave ratios of
-/// one build spread from 1.68x to 2.09x), so each point reports the median.
-constexpr std::size_t kMpTimedWaves = 7;
+/// Undisturbed timed waves per multi-process point, after the untimed warm
+/// wave. A single wave is too noisy for the 2-shard floor (single-wave
+/// ratios of one build spread from 1.68x to 2.09x), so each point reports
+/// the median. A wave during which the hypervisor stole CPU time is timed
+/// but left out of the median; a point times at most kMpMaxWaves waves and,
+/// short of kMpCleanWaves undisturbed ones, takes the median of them all.
+constexpr std::size_t kMpCleanWaves = 7;
+constexpr std::size_t kMpMaxWaves = 21;
+
+/// Cumulative hypervisor steal of this machine in clock ticks (the eighth
+/// field of /proc/stat's "cpu" line); 0 where that is unreadable.
+std::uint64_t steal_ticks() {
+  std::FILE* f = std::fopen("/proc/stat", "r");
+  if (f == nullptr) return 0;
+  unsigned long long v[8] = {};
+  const int got = std::fscanf(f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu",
+                              &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6],
+                              &v[7]);
+  std::fclose(f);
+  return got == 8 ? v[7] : 0;
+}
 
 /// Linear-interpolated quantile q in [0, 1] of an unsorted sample.
 double quantile(std::vector<double> v, double q) {
@@ -172,6 +189,8 @@ struct MpPoint {
   std::size_t clients = 0;
   std::size_t blocks = 0;       ///< per wave
   std::size_t requests_ok = 0;  ///< fewest ok requests of any timed wave
+  std::size_t waves_timed = 0;
+  std::size_t waves_stolen = 0;  ///< timed waves that saw hypervisor steal
   double total_s = 0;           ///< median wave time
   double total_s_q1 = 0;
   double total_s_q3 = 0;
@@ -180,7 +199,7 @@ struct MpPoint {
 
 /// One multi-process deployment: fork the key manager and `nshards` workers,
 /// onboard every client over the key-manager socket, run one untimed warm
-/// wave and kMpTimedWaves timed waves through a Router, verify every block
+/// wave and the timed waves through a Router, verify every block
 /// round-trips, then shut the fleet down and reap it.
 ///
 /// Weak scaling: `n_clients` should be shard-count * clients-per-full-batch,
@@ -254,14 +273,18 @@ std::optional<MpPoint> run_multiprocess_point(
         }
       }
 
-      std::vector<double> wave_s;
+      std::vector<double> wave_s, clean_s;
       std::size_t requests_ok = n_clients;
-      for (std::size_t w = 0; w < kMpTimedWaves && ok; ++w) {
+      for (std::size_t w = 0;
+           w < kMpMaxWaves && clean_s.size() < kMpCleanWaves && ok; ++w) {
         const auto reqs = make_wave(81000 + 1000 * w);
         net::RouterReport report;
+        const std::uint64_t steal_before = steal_ticks();
         const auto t0 = Clock::now();
         const auto results = router.process(reqs, &report);
-        wave_s.push_back(seconds_since(t0));
+        const double dt = seconds_since(t0);
+        wave_s.push_back(dt);
+        if (steal_ticks() == steal_before) clean_s.push_back(dt);
         requests_ok = std::min(requests_ok, report.faults.ok);
         for (std::size_t c = 0; c < n_clients && ok; ++c) {
           if (!results[c].ok()) {
@@ -288,9 +311,13 @@ std::optional<MpPoint> run_multiprocess_point(
         point.clients = n_clients;
         point.blocks = n_clients * blocks_per_client;
         point.requests_ok = requests_ok;
-        point.total_s = quantile(wave_s, 0.5);
-        point.total_s_q1 = quantile(wave_s, 0.25);
-        point.total_s_q3 = quantile(wave_s, 0.75);
+        point.waves_timed = wave_s.size();
+        point.waves_stolen = wave_s.size() - clean_s.size();
+        const auto& sample =
+            clean_s.size() >= kMpCleanWaves ? clean_s : wave_s;
+        point.total_s = quantile(sample, 0.5);
+        point.total_s_q1 = quantile(sample, 0.25);
+        point.total_s_q3 = quantile(sample, 0.75);
         point.blocks_per_s = double(point.blocks) / point.total_s;
         out = point;
       }
@@ -370,7 +397,7 @@ int main(int argc, char** argv) {
     for (auto& m : msg) m = rng.below(config.pasta.p);
   }
 
-  // ---- Sweep: N clients through the pipelined service. -------------------
+  // ---- Sweep: N clients through the service. ----------------------------
   std::vector<SweepPoint> sweep;
   for (const std::size_t n : client_counts) {
     service::ServiceConfig scfg;
@@ -439,7 +466,7 @@ int main(int argc, char** argv) {
 
   TextTable t;
   t.header({"Clients", "Blocks", "Batches", "X-tenant", "Total s", "s/block",
-            "Blocks/s", "Occupancy", "Prep overlap s"});
+            "Blocks/s", "Occupancy", "Prepare s"});
   for (const auto& p : sweep) {
     const auto& r = p.report;
     t.row({std::to_string(p.clients), std::to_string(r.blocks),
@@ -563,17 +590,19 @@ int main(int argc, char** argv) {
     }
     if (mp_ok) {
       TextTable mp;
-      mp.header({"Shards", "Clients", "Blocks/wave", "Median wave s",
-                 "Quartiles s", "Blocks/s"});
+      mp.header({"Shards", "Clients", "Blocks/wave", "Waves (stolen)",
+                 "Median wave s", "Quartiles s", "Blocks/s"});
       for (const auto& p : mp_sweep) {
         mp.row({std::to_string(p.shards), std::to_string(p.clients),
-                std::to_string(p.blocks), fixed(p.total_s, 3),
+                std::to_string(p.blocks),
+                std::to_string(p.waves_timed) + " (" +
+                    std::to_string(p.waves_stolen) + ")",
+                fixed(p.total_s, 3),
                 fixed(p.total_s_q1, 3) + "-" + fixed(p.total_s_q3, 3),
                 fixed(p.blocks_per_s, 2)});
       }
       mp.print(std::cout);
-      std::cout << "2-shard scale-out (ratio of the medians of "
-                << kMpTimedWaves << " waves): "
+      std::cout << "2-shard scale-out (ratio of the median wave times): "
                 << fixed(mp_sweep[1].blocks_per_s / mp_sweep[0].blocks_per_s, 2)
                 << "x (scripts/check_shard_budget.py enforces the floor on "
                    "multi-core hosts)\n";
@@ -608,14 +637,10 @@ int main(int argc, char** argv) {
            << ", \"avg_batch_occupancy\": " << fixed(r.avg_batch_occupancy, 3)
            << ", \"cross_tenant_batches\": " << r.cross_tenant_batches
            << ", \"full_flushes\": " << r.full_flushes
-           << ", \"deadline_flushes\": " << r.deadline_flushes
            << ", \"drain_flushes\": " << r.drain_flushes
            << ", \"max_batch_wait_s\": " << fixed(r.max_batch_wait_s, 4)
            << ", \"prepare_s\": " << fixed(r.prepare_s, 4)
            << ", \"eval_s\": " << fixed(r.eval_s, 4)
-           << ", \"prepare_stalls\": " << r.prepare_stalls
-           << ", \"eval_stalls\": " << r.eval_stalls
-           << ", \"max_queue_depth\": " << r.max_queue_depth
            << ", \"min_noise_budget_bits\": "
            << fixed(r.min_noise_budget_bits, 1)
            << ", \"predicted_budget_bits\": "
@@ -664,7 +689,8 @@ int main(int argc, char** argv) {
            << "      {\"shards\": " << p.shards
            << ", \"clients\": " << p.clients << ", \"blocks\": " << p.blocks
            << ", \"requests_ok\": " << p.requests_ok
-           << ", \"waves\": " << kMpTimedWaves
+           << ", \"waves_timed\": " << p.waves_timed
+           << ", \"waves_stolen\": " << p.waves_stolen
            << ", \"total_s\": " << fixed(p.total_s, 4)
            << ", \"total_s_q1\": " << fixed(p.total_s_q1, 4)
            << ", \"total_s_q3\": " << fixed(p.total_s_q3, 4)

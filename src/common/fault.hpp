@@ -9,8 +9,9 @@
 // relaxed null-pointer load when nothing is armed — and compile away
 // entirely under POE_NO_FAULT_INJECTION. Arrival counters are per site, so
 // a schedule is reproducible from its seed alone as long as each site is
-// visited from one thread (the only multi-thread site, pool.acquire, is
-// exercised by the invariant-based chaos sweep, not by exact-outcome tests).
+// visited from one thread. The multi-thread sites, pool.acquire and
+// fhe.hoist.scratch.alloc_fail, are visited from pool workers and are
+// exercised by the invariant-based chaos sweep, not by exact-outcome tests.
 //
 // Naming convention for sites: <layer>.<point>[.<aspect>], e.g.
 //   pool.acquire            allocation of a polynomial slab
@@ -19,7 +20,6 @@
 //   service.prepare.stall   virtual-time stall charged to that stage
 //   service.evaluate        the BGV evaluation stage
 //   service.evaluate.stall
-//   service.queue.full      forced pipeline-queue saturation
 //   service.key.corrupt     corruption of a session's key ciphertext words
 //   service.wire.truncate   truncation of key-upload wire bytes
 //   net.frame.torn          (kForce) a peer dies mid-write: half a frame is
@@ -51,7 +51,7 @@ enum class FaultClass : std::uint8_t {
   kAllocFail,   ///< allocation site throws (same mechanics, own accounting)
   kStall,       ///< charge `arg_ms` of virtual stage time (bounded real sleep)
   kCorrupt,     ///< mangle words presented at the site
-  kForce,       ///< boolean site (queue saturation, wire truncation) reports true
+  kForce,       ///< boolean site (wire truncation, torn frame) reports true
 };
 
 const char* to_string(FaultClass c);

@@ -167,7 +167,11 @@ class Bgv {
   HoistedCt hoist(const Ciphertext& ct) const;
   /// Rotated copy from a hoisted decomposition (step != 0 mod n/2): one NTT
   /// slot permutation of c0 + a permuted key inner product over the shared
-  /// digits. No forward NTTs at all.
+  /// digits. No forward NTTs at all. Only tests call it: it is the
+  /// independent allocating reference that
+  /// HoistedRotationDifferential.InPlaceMatchesAllocating* hold
+  /// rotate_hoisted_into to, so it stays a separate implementation rather
+  /// than a wrapper over the in-place path.
   Ciphertext rotate_hoisted(const HoistedCt& hoisted, long step,
                             const GaloisKeys& keys) const;
   /// Allocation-free variant of rotate_hoisted: the key inner product runs

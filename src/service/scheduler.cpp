@@ -11,8 +11,6 @@ const char* to_string(FlushCause cause) {
   switch (cause) {
     case FlushCause::kFull:
       return "full";
-    case FlushCause::kDeadline:
-      return "deadline";
     case FlushCause::kDrain:
       return "drain";
   }
@@ -31,7 +29,6 @@ bool BatchScheduler::can_accept(std::size_t blocks) const {
 }
 
 bool BatchScheduler::submit(const ScheduledBlock& block, double now) {
-  advance(now);
   if (!can_accept(1)) {
     ++stats_.shed;
     return false;
@@ -43,14 +40,6 @@ bool BatchScheduler::submit(const ScheduledBlock& block, double now) {
     flush(FlushCause::kFull, now);
   }
   return true;
-}
-
-void BatchScheduler::advance(double now) {
-  // forming_ is in arrival order, so the front block is the oldest.
-  if (config_.deadline_s > 0 && !forming_.empty() &&
-      now - forming_.front().arrival_s >= config_.deadline_s) {
-    flush(FlushCause::kDeadline, now);
-  }
 }
 
 void BatchScheduler::drain(double now) {
@@ -77,9 +66,6 @@ void BatchScheduler::flush(FlushCause cause, double now) {
   switch (cause) {
     case FlushCause::kFull:
       ++stats_.full_flushes;
-      break;
-    case FlushCause::kDeadline:
-      ++stats_.deadline_flushes;
       break;
     case FlushCause::kDrain:
       ++stats_.drain_flushes;

@@ -1,18 +1,17 @@
-// Deadline-aware cross-tenant batch formation.
+// Cross-tenant batch formation.
 //
 // The scheduler owns the ADMISSION geometry of packed transciphering: it
 // assigns incoming blocks (from any tenant) to SIMD tiles of a forming
-// batch, flushes the batch when it fills, when the oldest block's latency
-// deadline expires, or when the caller drains, and refuses work when the
-// total pending backlog would exceed the configured bound (the service maps
-// that refusal to RequestStatus::kOverloaded).
+// batch, flushes the batch when it fills or when the caller drains, and
+// refuses work when the total pending backlog would exceed the configured
+// bound (the service maps that refusal to RequestStatus::kOverloaded).
 //
 // It is deliberately free of ciphertext state: blocks are opaque
 // (tenant, handle) pairs, the service keeps the payloads in a side array
-// indexed by handle. Time is VIRTUAL — every entry point takes `now` in
-// seconds from an arbitrary epoch — so deadline behaviour is exactly
-// testable without sleeping (tests/scheduler_test.cpp) and the service can
-// feed it wall-clock offsets.
+// indexed by handle. Time is VIRTUAL — submit and drain take `now` in
+// seconds from an arbitrary epoch — and only feeds the arrival -> flush wait
+// statistic, so it is exactly testable without sleeping
+// (tests/scheduler_test.cpp) and the service can feed it wall-clock offsets.
 #pragma once
 
 #include <cstddef>
@@ -26,16 +25,13 @@ namespace poe::service {
 struct SchedulerConfig {
   /// Tiles per batch (SimdBatchEngine::capacity()).
   std::size_t batch_capacity = 1;
-  /// Flush a partial batch once its oldest block has waited this long.
-  /// 0 disables deadline flushes (flush only on full / drain).
-  double deadline_s = 0;
   /// Backlog bound across forming + formed-but-unconsumed blocks;
   /// 0 = unbounded. Saturation is reported via can_accept/submit.
   std::size_t max_pending_blocks = 0;
 };
 
 /// Why a batch left the forming stage.
-enum class FlushCause : std::uint8_t { kFull = 0, kDeadline, kDrain };
+enum class FlushCause : std::uint8_t { kFull = 0, kDrain };
 const char* to_string(FlushCause cause);
 
 /// One tile of a forming batch. `handle` is caller-defined (the service
@@ -58,7 +54,6 @@ struct SchedulerStats {
   std::size_t shed = 0;       ///< blocks refused at saturation
   std::size_t batches = 0;    ///< batches flushed
   std::size_t full_flushes = 0;
-  std::size_t deadline_flushes = 0;
   std::size_t drain_flushes = 0;
   std::size_t cross_tenant_batches = 0;  ///< batches packing >1 tenant
   std::size_t max_pending = 0;           ///< peak backlog in blocks
@@ -77,12 +72,8 @@ class BatchScheduler {
   bool can_accept(std::size_t blocks) const;
 
   /// Accept one block (false = shed at saturation). Flushes the forming
-  /// batch first if the deadline expired, and after the append if it filled.
+  /// batch after the append if it filled.
   bool submit(const ScheduledBlock& block, double now);
-
-  /// Advance virtual time only: flush the forming batch iff its oldest
-  /// block's deadline has expired.
-  void advance(double now);
 
   /// End-of-stream: flush whatever is still forming.
   void drain(double now);

@@ -2,23 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <string_view>
 #include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 #include "fhe/serialize.hpp"
-#include "service/pipeline.hpp"
 
 namespace poe::service {
 
 namespace {
 using Clock = std::chrono::steady_clock;
 using u64 = std::uint64_t;
-
-/// Prepared batches the pipelined producer may buffer ahead of evaluation.
-constexpr std::size_t kPipelineDepth = 2;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -297,9 +292,7 @@ struct BatchJob {
   std::vector<u64> tenants;
 };
 
-enum class BatchState {
-  kPending, kDone, kShed, kQuarantined, kTimedOut, kFailed
-};
+enum class BatchState { kPending, kDone, kQuarantined, kTimedOut, kFailed };
 
 struct BatchOutcome {
   BatchState state = BatchState::kPending;
@@ -313,7 +306,6 @@ struct BatchOutcome {
 
 RequestStatus degraded_status(BatchState state) {
   switch (state) {
-    case BatchState::kShed: return RequestStatus::kOverloaded;
     case BatchState::kQuarantined: return RequestStatus::kQuarantined;
     case BatchState::kTimedOut: return RequestStatus::kTimedOut;
     default: return RequestStatus::kFailed;
@@ -407,7 +399,6 @@ std::vector<TranscipherResult> TranscipherService::process(
   Call call(requests, rep,
             SchedulerConfig{
                 .batch_capacity = max_batch_,
-                .deadline_s = service_config_.batch_deadline_s,
                 .max_pending_blocks = service_config_.max_pending_blocks});
   admit(call);
   form_batches(call);
@@ -424,7 +415,7 @@ std::vector<TranscipherResult> TranscipherService::process(
 // Admission: session lookup, request sanity, nonce replay, load shedding,
 // block splitting. Rejections are typed per request — hostile input
 // degrades that request, never the batch. Admitted blocks go to the
-// scheduler as they are split, so its deadline clock sees real arrivals.
+// scheduler as they are split, stamped with their arrival time.
 void TranscipherService::admit(Call& call) {
   const std::size_t t = config_.pasta.t;
   call.rep.requests = call.requests.size();
@@ -521,86 +512,28 @@ void TranscipherService::form_batches(Call& call) {
   }
 }
 
-// Staged execution: prepare (CPU) -> evaluate (BGV), each stage under a
-// virtual-time timeout with bounded backoff retry. Pipelined, a producer
-// thread prepares batch N+1 while the caller evaluates batch N. Producer
-// and consumer only ever touch a job's outcome on their own side of the
-// queue handoff, so outcomes need no lock.
+// Staged execution: prepare (CPU) then evaluate (BGV), one batch at a time
+// on the caller's thread, each stage under a virtual-time timeout with
+// bounded backoff retry.
 void TranscipherService::execute(Call& call) {
   ExecContext& exec = bgv_.rns().exec();
-  struct Prepared {
-    std::size_t job = 0;
+  for (std::size_t j = 0; j < call.jobs.size(); ++j) {
+    BatchOutcome& out = call.outcomes[j];
     hhe::PreparedSimdBatch batch;
-  };
-  auto prepare = [&](std::size_t j, Prepared& prepared) -> bool {
-    prepared.job = j;
-    return run_stage(
-        service_config_, exec, "service.prepare", "service.prepare.stall",
-        [&] { prepared.batch = engine_.prepare(call.jobs[j].blocks); },
-        call.outcomes[j], call.outcomes[j].prepare_s);
-  };
-
-  if (!service_config_.pipelined || call.jobs.empty()) {
-    for (std::size_t j = 0; j < call.jobs.size(); ++j) {
-      Prepared prepared;
-      if (prepare(j, prepared)) evaluate_batch(call, j, prepared.batch);
+    if (run_stage(
+            service_config_, exec, "service.prepare", "service.prepare.stall",
+            [&] { batch = engine_.prepare(call.jobs[j].blocks); }, out,
+            out.prepare_s)) {
+      evaluate_batch(call, j, batch);
     }
-    return;
   }
-
-  BoundedQueue<Prepared> queue(kPipelineDepth);
-  std::exception_ptr prepare_error;
-  std::thread producer([&] {
-    try {
-      for (std::size_t j = 0; j < call.jobs.size(); ++j) {
-        Prepared prepared;
-        if (!prepare(j, prepared)) continue;
-        BatchOutcome& out = call.outcomes[j];
-        if (fault_forced(exec, "service.queue.full")) {
-          out.state = BatchState::kShed;
-          out.error = "pipeline queue saturated (injected)";
-          continue;
-        }
-        PushStatus st;
-        if (service_config_.queue_push_timeout_s > 0) {
-          st = queue.push_for(std::move(prepared),
-                              std::chrono::duration<double>(
-                                  service_config_.queue_push_timeout_s));
-        } else {
-          st = queue.push(std::move(prepared));
-        }
-        if (st == PushStatus::kClosed) break;  // consumer shut down
-        if (st == PushStatus::kTimedOut) {
-          out.state = BatchState::kShed;
-          out.error = "pipeline queue saturated beyond timeout";
-        }
-      }
-    } catch (...) {
-      prepare_error = std::current_exception();
-    }
-    queue.close();
-  });
-  try {
-    while (auto prepared = queue.pop()) {
-      evaluate_batch(call, prepared->job, prepared->batch);
-    }
-  } catch (...) {
-    queue.close();  // unblock the producer before re-throwing
-    producer.join();
-    throw;
-  }
-  producer.join();
-  if (prepare_error) std::rethrow_exception(prepare_error);
-  call.rep.prepare_stalls = queue.push_stalls();
-  call.rep.eval_stalls = queue.pop_stalls();
-  call.rep.max_queue_depth = queue.max_depth();
 }
 
-// Consumer side: poison-pill gate + evaluation of one prepared batch. A
-// batch may span several tenants: each tenant is validated separately,
-// quarantined tenants are dropped from the key merge (their tiles get an
-// all-zero key and their requests degrade to kQuarantined), and every
-// survivor receives a masked extraction of the shared output. The
+// Poison-pill gate + evaluation of one prepared batch. A batch may span
+// several tenants: each tenant is validated separately, quarantined tenants
+// are dropped from the key merge (their tiles get an all-zero key and their
+// requests degrade to kQuarantined), and every survivor receives a masked
+// extraction of the shared output. The
 // keystream circuit is tile-local, so the survivors' slots decode
 // bit-identical to a run without the quarantined tenant.
 void TranscipherService::evaluate_batch(Call& call, std::size_t j,
@@ -714,7 +647,7 @@ void TranscipherService::account(Call& call) {
       TranscipherResult& res = call.results[ref.request];
       if (res.status == RequestStatus::kOk) {
         res.status = degraded_status(out.state);
-        res.error = out.error.empty() ? "pipeline aborted" : out.error;
+        res.error = out.error;
       }
     }
   }
@@ -757,7 +690,6 @@ void TranscipherService::account(Call& call) {
       sched.batches > 0 ? sched.occupancy_sum / double(sched.batches) : 0;
   rep.blocks_per_s = rep.total_s > 0 ? double(rep.blocks) / rep.total_s : 0;
   rep.full_flushes = sched.full_flushes;
-  rep.deadline_flushes = sched.deadline_flushes;
   rep.drain_flushes = sched.drain_flushes;
   rep.cross_tenant_batches = sched.cross_tenant_batches;
   rep.max_batch_wait_s = sched.max_wait_s;

@@ -9,9 +9,8 @@
 //    form, validating it before it can touch a batch.
 //  * Cross-tenant packing. A request carries a whole message; the service
 //    splits it into PASTA blocks (block i uses counter i, matching
-//    pasta::PastaCipher::encrypt) and a deadline-aware BatchScheduler packs
-//    blocks of DIFFERENT clients into one SIMD batch of up to
-//    batch_capacity() tiles. Each tenant's tiled key is restricted to its
+//    pasta::PastaCipher::encrypt) and a BatchScheduler packs blocks of
+//    DIFFERENT clients into one SIMD batch of up to batch_capacity() tiles. Each tenant's tiled key is restricted to its
 //    assigned tiles by a 0/1 mask and the masked keys are summed into one
 //    packed key ciphertext (SimdBatchEngine::merge_tenant_keys); on output
 //    each tenant receives a masked extraction carrying only its own slots.
@@ -19,23 +18,28 @@
 //    the service's evaluation domain on ingest (open_session_switched).
 //    The scheduler is the only batch-formation path: a call with one
 //    client forms that client's batches the same way.
-//  * Pipelining. Batch preparation (SHAKE squeeze, rejection sampling,
-//    matrix generation, diagonal encoding — pure CPU work) runs on a
-//    dedicated thread feeding a bounded queue; the caller's thread drains
-//    it with BGV evaluation. Preparation of batch N+1 overlaps evaluation
-//    of batch N — Fig. 3's MatGen latency hiding in software.
+//  * Staged execution. Each formed batch is prepared (SHAKE squeeze,
+//    rejection sampling, matrix generation, diagonal encoding — pure CPU
+//    work) and then evaluated under BGV, one batch after another on the
+//    caller's thread; both stages fan out over the evaluator's thread pool.
+//    There is no prepare/evaluate overlap: preparation is a few percent of
+//    evaluation, so overlap could hide at most that much, and on a call
+//    that forms one batch — every benchmark workload — nothing
+//    (EXPERIMENTS.md, "Pipelined vs sequential staged execution"). Fig. 3's
+//    MatGen latency hiding is reproduced in the cycle model (hw::).
 //  * Robustness. HHE is exactly the setting where the server ingests
 //    untrusted bytes from the edge, so hostile or corrupt input is the
 //    normal case: per-request admission returns typed rejections instead
 //    of throwing (unknown session, nonce replay, malformed or oversized
-//    message, load shed); each pipeline stage runs under a virtual-time
-//    timeout with bounded exponential-backoff retry; a saturated pipeline
-//    queue degrades to a typed Overloaded rejection; and a decrypt-free
-//    plausibility check (fhe::validate_ciphertext) quarantines poison-pill
-//    session keys per batch instead of killing the whole process() call.
+//    message, load shed); each stage runs under a virtual-time timeout with
+//    bounded exponential-backoff retry; and a decrypt-free plausibility
+//    check (fhe::validate_ciphertext) quarantines poison-pill session keys
+//    per batch instead of killing the whole process() call.
 //    Every fault point is instrumented for the chaos harness
 //    (tests/fault_test.cpp) via the FaultInjector on the evaluator's
-//    ExecContext; unarmed, each point is one pointer load.
+//    ExecContext; unarmed, each point is one pointer load. Every service.*
+//    site is visited from the caller's thread, so a seeded fault schedule
+//    replays exactly.
 //
 // All rotation keys are built ONCE in the constructor and shared by every
 // session (they depend only on the BGV key, not the PASTA key).
@@ -61,21 +65,14 @@ namespace poe::service {
 struct ServiceConfig {
   std::size_t max_sessions = 8;     ///< LRU-evict beyond this many clients
   std::size_t max_batch_blocks = 0; ///< 0 = the engine's full capacity
-  bool pipelined = true;            ///< false: prepare+evaluate in sequence
   std::size_t max_tracked_nonces = 1024;  ///< replay window per session
-
-  /// Deadline-aware flush: a forming batch whose OLDEST block has waited
-  /// longer than this is flushed partially full, bounding packing latency.
-  /// 0 = flush only when full or at end-of-call drain. (Exercised under
-  /// virtual time in tests/scheduler_test.cpp.)
-  double batch_deadline_s = 0;
 
   // --- Robustness knobs (defaults keep the fault-free fast path intact).
   std::size_t max_request_elems = 1u << 16;  ///< admission bound per request
   /// Admission-level load shedding: blocks admitted per process() call
   /// beyond this are rejected kOverloaded. 0 = unbounded.
   std::size_t max_pending_blocks = 0;
-  /// Attempts per pipeline stage per batch (1 = no retry).
+  /// Attempts per stage per batch (1 = no retry).
   std::size_t max_stage_attempts = 3;
   /// A stage (prepare or evaluate of one batch) slower than this — real
   /// time plus any injected virtual stall — counts as a timeout and is
@@ -83,9 +80,6 @@ struct ServiceConfig {
   double stage_timeout_s = 0;
   /// Exponential backoff before retry k sleeps backoff_base_s * 2^(k-1).
   double backoff_base_s = 0.0005;
-  /// Bounded producer wait on a saturated pipeline queue; on expiry the
-  /// batch is shed as kOverloaded. 0 = block indefinitely (no shedding).
-  double queue_push_timeout_s = 0;
 };
 
 /// One client request: transcipher a whole PASTA-encrypted message.
@@ -134,7 +128,7 @@ enum class RequestStatus {
   kUnknownSession,   ///< no session for client_id
   kNonceReplay,      ///< nonce inside the session's replay window
   kInvalidRequest,   ///< empty or oversized message
-  kOverloaded,       ///< load shed (admission bound or saturated queue)
+  kOverloaded,       ///< load shed at admission (max_pending_blocks)
   kQuarantined,      ///< session key failed the plausibility check
   kTimedOut,         ///< stage timeout persisted through every retry
   kFailed,           ///< stage error persisted through every retry
@@ -176,16 +170,16 @@ struct ServiceReport {
   double total_s = 0;        ///< wall time of the whole call
   double prepare_s = 0;      ///< summed prepare-stage time
   double eval_s = 0;         ///< summed evaluate-stage time
-  std::size_t prepare_stalls = 0;  ///< prepare blocked on a full queue
-  std::size_t eval_stalls = 0;     ///< evaluator blocked on an empty queue
-  std::size_t max_queue_depth = 0;
+  /// Always 0: stages run in sequence, so neither ever waits on the other.
+  /// Kept only because the benchmark's layer report reads them.
+  std::size_t prepare_stalls = 0;
+  std::size_t eval_stalls = 0;  ///< always 0, see prepare_stalls
   double avg_batch_occupancy = 0;  ///< mean fill fraction of the batches
   double blocks_per_s = 0;
   // --- Batch-scheduler accounting: why each batch left the forming stage,
   // --- and the packing reach.
-  std::size_t full_flushes = 0;      ///< batches flushed at capacity
-  std::size_t deadline_flushes = 0;  ///< partial batches flushed on deadline
-  std::size_t drain_flushes = 0;     ///< partial batches flushed at drain
+  std::size_t full_flushes = 0;   ///< batches flushed at capacity
+  std::size_t drain_flushes = 0;  ///< partial batches flushed at drain
   std::size_t cross_tenant_batches = 0;  ///< batches packing >1 tenant
   double max_batch_wait_s = 0;  ///< worst block arrival -> flush wait
   double min_noise_budget_bits = 0;  ///< worst batch output
@@ -243,8 +237,9 @@ class TranscipherService {
   const hhe::SimdBatchEngine& engine() const { return engine_; }
 
   /// Transcipher a group of requests in four steps — admission, batch
-  /// formation (BatchScheduler), the two-stage prepare/evaluate pipeline,
-  /// accounting — and return one result per request (same order). Every
+  /// formation (BatchScheduler), staged execution (prepare then evaluate,
+  /// batch by batch), accounting — and return one result per request (same
+  /// order). Every
   /// per-request problem — unknown session, replayed nonce, malformed
   /// message, shed load, poisoned key, exhausted retries — lands as a typed
   /// status on that request's result; healthy requests are unaffected.

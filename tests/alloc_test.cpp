@@ -113,10 +113,9 @@ struct ServiceClient {
 };
 
 // Drive the cross-tenant packed service to steady state, then assert the
-// pool stopped minting slabs. `pipelined=false` keeps prepare/evaluate on
-// one thread so the watermark is deterministic; the pipelined variant below
-// checks the miss counter only (stage overlap makes transient liveness —
-// and thus the peak — timing-dependent).
+// pool stopped minting slabs: no new misses and a flat high-water mark.
+// Prepare and evaluate run in sequence on the caller's thread, so the
+// watermark is deterministic.
 TEST(AllocRegression, PackedServiceSteadyStateIsAllocationFree) {
   const hhe::HheConfig config = hhe::HheConfig::batched_test();
   ExecContext exec;
@@ -124,9 +123,7 @@ TEST(AllocRegression, PackedServiceSteadyStateIsAllocationFree) {
   fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
   fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
 
-  service::ServiceConfig cfg;
-  cfg.pipelined = false;
-  service::TranscipherService service(config, bgv, cfg);
+  service::TranscipherService service(config, bgv);
 
   std::vector<ServiceClient> clients;
   for (u64 c = 0; c < 2; ++c) {
@@ -165,47 +162,6 @@ TEST(AllocRegression, PackedServiceSteadyStateIsAllocationFree) {
       << "a warmed-up packed batch minted a new slab";
   EXPECT_EQ(after.peak, warm.peak)
       << "a warmed-up packed batch grew the set of concurrently live slabs";
-}
-
-TEST(AllocRegression, PipelinedServiceSteadyStateHasZeroPoolMisses) {
-  const hhe::HheConfig config = hhe::HheConfig::batched_test();
-  ExecContext exec;
-  fhe::Bgv bgv(config.bgv, &exec);
-  fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t);
-  fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
-
-  service::ServiceConfig cfg;
-  cfg.pipelined = true;
-  service::TranscipherService service(config, bgv, cfg);
-
-  ServiceClient client(config, 0, 0xF00D);
-  service.open_session(
-      client.id,
-      hhe::encrypt_key_batched(config, bgv, encoder, layout, client.key));
-
-  Xoshiro256 rng(7);
-  const auto msg = random_msg(rng, config.pasta.p, config.pasta.t);
-  u64 nonce = 1;
-  auto process_blocks = [&](std::size_t blocks) {
-    std::vector<service::TranscipherRequest> reqs;
-    for (std::size_t i = 0; i < blocks; ++i) {
-      reqs.push_back({.client_id = client.id,
-                      .nonce = nonce,
-                      .symmetric_ct = client.cipher.encrypt(msg, nonce)});
-      ++nonce;
-    }
-    const auto results = service.process(reqs);
-    for (const auto& r : results) {
-      ASSERT_TRUE(r.ok()) << r.error;
-    }
-  };
-
-  process_blocks(8);
-  const u64 warm_misses = exec.pool().misses();
-  process_blocks(8);
-  process_blocks(8);
-  EXPECT_EQ(exec.pool().misses(), warm_misses)
-      << "the pipelined serving loop minted a new slab after warm-up";
 }
 
 // -------------------------------------------- scratch bank under concurrency

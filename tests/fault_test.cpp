@@ -1,23 +1,29 @@
 // Chaos harness for the transcipher service (ctest label: chaos).
 //
 // Directed tests arm one fault class at a time — allocation failure, stage
-// exceptions, virtual-time stalls, queue saturation, key corruption, wire
-// truncation — and pin the exact degradation the robustness layer promises:
-// recovery via bounded retry, or a typed per-request status; never an
-// escaped exception, never collateral damage to a healthy tenant.
+// exceptions, virtual-time stalls, key corruption, wire truncation — and pin
+// the exact degradation the robustness layer promises: recovery via bounded
+// retry, or a typed per-request status; never an escaped exception, never
+// collateral damage to a healthy tenant.
 //
 // RandomScheduleSweep then drives seeded random fault schedules through the
-// full pipelined service and checks invariants only (the status partition,
+// full service and checks invariants only (the status partition,
 // bit-identical outputs for surviving requests against a fault-free
-// baseline, full recovery after disarm) — exact outcomes are not
-// reproducible across thread interleavings, invariants must hold for every
-// seed. Reproduce a failed sweep with POE_FAULT_SEED (see docs/TESTING.md);
+// baseline, full recovery after disarm): its menu includes pool.acquire and
+// fhe.hoist.scratch.alloc_fail, which pool workers visit in an order that
+// varies run to run, so exact outcomes are not reproducible and invariants
+// must hold for every seed. SeededScheduleReplaysExactly restricts the menu
+// to the service.* sites, which process() visits from the caller's thread
+// only, and holds the replay promise: the same seed gives the same outcome.
+// Reproduce a failed sweep with POE_FAULT_SEED (see docs/TESTING.md);
 // POE_FAULT_SCHEDULES lengthens the sweep for the nightly CI job.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/fault.hpp"
@@ -113,12 +119,11 @@ std::vector<std::vector<std::uint8_t>> wire_blocks(
   return out;
 }
 
-// Directed tests run the sequential path: with one thread, per-site arrival
-// order is exactly the batch order, so "which batch eats the fault" is
-// deterministic. The sweep exercises the pipelined path.
-ServiceConfig sequential_cfg() {
+// process() visits every service.* site from the caller's thread, so per-site
+// arrival order is exactly the batch order and "which batch eats the fault"
+// is deterministic.
+ServiceConfig directed_cfg() {
   ServiceConfig cfg;
-  cfg.pipelined = false;
   cfg.max_stage_attempts = 3;
   cfg.backoff_base_s = 1e-4;
   return cfg;
@@ -132,7 +137,7 @@ void expect_partition(const ServiceReport& rep) {
 }
 
 TEST(FaultDirected, AllocationFailureRecoversViaRetry) {
-  auto service = make_service(sequential_cfg());
+  auto service = make_service(directed_cfg());
   TestClient client(1, 101);
   ASSERT_TRUE(service.open_session_wire(client.id, client.key_wire()));
   const auto msg = random_msg(stack().config.pasta.t + 3, 102);
@@ -161,7 +166,7 @@ TEST(FaultDirected, HoistScratchAllocFailureRecoversViaRetry) {
   // The evaluate stage must surface it as a typed stage failure and
   // recover on retry — no UB from the half-filled accumulator, no torn
   // scratch left leased in the bank.
-  auto service = make_service(sequential_cfg());
+  auto service = make_service(directed_cfg());
   TestClient client(21, 121);
   ASSERT_TRUE(service.open_session_wire(client.id, client.key_wire()));
   const auto msg = random_msg(stack().config.pasta.t + 2, 122);
@@ -187,7 +192,7 @@ TEST(FaultDirected, HoistScratchAllocFailureExhaustsToTypedFailure) {
   // Every attempt's lease fails: the batch must degrade to kFailed with a
   // descriptive error — a typed terminal status, never an escaped
   // exception or a crash on the partially-accumulated state.
-  auto service = make_service(sequential_cfg());
+  auto service = make_service(directed_cfg());
   TestClient client(22, 123);
   ASSERT_TRUE(service.open_session_wire(client.id, client.key_wire()));
   const auto msg = random_msg(3, 124);
@@ -216,7 +221,7 @@ TEST(FaultDirected, HoistScratchAllocFailureExhaustsToTypedFailure) {
 }
 
 TEST(FaultDirected, PrepareThrowRecoversViaRetry) {
-  auto service = make_service(sequential_cfg());
+  auto service = make_service(directed_cfg());
   TestClient client(2, 103);
   ASSERT_TRUE(service.open_session_wire(client.id, client.key_wire()));
   const auto msg = random_msg(4, 104);
@@ -239,7 +244,7 @@ TEST(FaultDirected, PrepareThrowRecoversViaRetry) {
 TEST(FaultDirected, EvaluateFaultExhaustsToTypedFailure) {
   // One block per batch: this test pins BATCH-granularity blast radius, so
   // keep the two clients out of one packed batch.
-  auto cfg = sequential_cfg();
+  auto cfg = directed_cfg();
   cfg.max_batch_blocks = 1;
   auto service = make_service(cfg);
   TestClient doomed(3, 105), healthy(4, 106);
@@ -270,7 +275,7 @@ TEST(FaultDirected, EvaluateFaultExhaustsToTypedFailure) {
 }
 
 TEST(FaultDirected, StallTimeoutRetriesThenRecovers) {
-  auto cfg = sequential_cfg();
+  auto cfg = directed_cfg();
   cfg.stage_timeout_s = 2.0;  // generous for sanitizer builds; the injected
                               // stall below charges well past it regardless
   auto service = make_service(cfg);
@@ -299,7 +304,7 @@ TEST(FaultDirected, StallTimeoutRetriesThenRecovers) {
 }
 
 TEST(FaultDirected, PersistentStallDegradesToTimedOut) {
-  auto cfg = sequential_cfg();
+  auto cfg = directed_cfg();
   cfg.stage_timeout_s = 2.0;
   cfg.max_batch_blocks = 1;  // batch-granularity test: one block per batch
   auto service = make_service(cfg);
@@ -328,38 +333,8 @@ TEST(FaultDirected, PersistentStallDegradesToTimedOut) {
   expect_partition(rep);
 }
 
-TEST(FaultDirected, QueueSaturationShedsTyped) {
-  ServiceConfig cfg;
-  cfg.pipelined = true;  // the queue only exists in the pipelined path
-  cfg.queue_push_timeout_s = 5.0;
-  cfg.max_batch_blocks = 1;  // batch-granularity test: one block per batch
-  auto service = make_service(cfg);
-  TestClient shed(8, 115), healthy(9, 116);
-  ASSERT_TRUE(service.open_session_wire(shed.id, shed.key_wire()));
-  ASSERT_TRUE(service.open_session_wire(healthy.id, healthy.key_wire()));
-  const auto msg_a = random_msg(3, 117);
-  const auto msg_b = random_msg(3, 118);
-
-  // The producer thread is the only visitor of this site, so arrival order
-  // is batch order even in the pipelined path: the first batch is shed.
-  ArmedScope scope;
-  scope.fi.arm(FaultSpec{.site = "service.queue.full",
-                         .kind = FaultClass::kForce});
-  ServiceReport rep;
-  const auto results = service.process(
-      std::vector{shed.request(1, msg_a), healthy.request(1, msg_b)}, &rep);
-  scope.disarm();
-
-  EXPECT_EQ(results[0].status, RequestStatus::kOverloaded);
-  ASSERT_TRUE(results[1].ok()) << results[1].error;
-  EXPECT_EQ(decode_all(results[1]), msg_b);
-  EXPECT_EQ(rep.faults.shed, 1u);
-  EXPECT_EQ(scope.fi.fired(FaultClass::kForce), 1u);
-  expect_partition(rep);
-}
-
 TEST(FaultDirected, CorruptKeyQuarantinedThenReOnboardRestores) {
-  auto service = make_service(sequential_cfg());
+  auto service = make_service(directed_cfg());
   TestClient poisoned(10, 119), healthy(11, 120);
   const auto key_wire = poisoned.key_wire();
   ASSERT_TRUE(service.open_session_wire(poisoned.id, key_wire));
@@ -402,7 +377,7 @@ TEST(FaultDirected, PackedPoisonMidPackQuarantinesOnlyThatTenant) {
   // `after = 1` skips the first tenant's arrival). Only that tenant may
   // degrade — the co-packed tenants must decode bit-identical to a
   // fault-free run of the same requests.
-  auto service = make_service(sequential_cfg());
+  auto service = make_service(directed_cfg());
   std::vector<TestClient> tenants;
   std::vector<std::vector<u64>> msgs;
   std::vector<TranscipherRequest> reqs;
@@ -470,7 +445,7 @@ TEST(FaultDirected, UnarmedInjectorIsInvisible) {
   // A registered injector with nothing armed must not change behaviour —
   // it only counts arrivals (this is the instrumented-but-quiet fast path
   // every production build runs one pointer-load away from).
-  auto service = make_service(sequential_cfg());
+  auto service = make_service(directed_cfg());
   TestClient client(13, 125);
   ASSERT_TRUE(service.open_session_wire(client.id, client.key_wire()));
   const auto msg = random_msg(4, 126);
@@ -491,8 +466,8 @@ TEST(FaultDirected, UnarmedInjectorIsInvisible) {
 }
 
 // ---------------------------------------------------------------------------
-// The seeded chaos sweep: random fault schedules through the full pipelined
-// service. Reproduce a failure with POE_FAULT_SEED=<seed>; POE_FAULT_SCHEDULES
+// The seeded chaos sweep: random fault schedules through the full service.
+// Reproduce a failure with POE_FAULT_SEED=<seed>; POE_FAULT_SCHEDULES
 // controls sweep length (nightly CI runs a long sweep).
 // ---------------------------------------------------------------------------
 
@@ -503,7 +478,6 @@ constexpr FaultInjector::MenuEntry kSweepMenu[] = {
     {"service.prepare.stall", FaultClass::kStall},
     {"service.evaluate", FaultClass::kThrow},
     {"service.evaluate.stall", FaultClass::kStall},
-    {"service.queue.full", FaultClass::kForce},
     {"service.key.corrupt", FaultClass::kCorrupt},
     {"service.pack.key.corrupt", FaultClass::kCorrupt},
 };
@@ -513,6 +487,60 @@ u64 env_u64(const char* name, u64 fallback) {
   return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
 }
 
+ServiceConfig sweep_cfg() {
+  ServiceConfig cfg;
+  cfg.max_stage_attempts = 3;
+  cfg.backoff_base_s = 1e-4;
+  cfg.stage_timeout_s = 2.0;
+  // Small batches force SEVERAL cross-tenant packed batches per call, so
+  // every site (including the per-tenant pack sites) gets enough arrivals
+  // for the schedules' random arrival windows.
+  cfg.max_batch_blocks = 4;
+  return cfg;
+}
+
+// Three tenants with fixed keys and messages, shared by the sweep and the
+// replay test.
+struct SweepWorkload {
+  std::vector<TestClient> clients;
+  std::vector<std::vector<std::uint8_t>> key_wires;
+  std::vector<std::vector<u64>> msgs;
+
+  SweepWorkload() {
+    for (u64 c = 0; c < 3; ++c) {
+      clients.emplace_back(30 + c, 300 + c);
+      key_wires.push_back(clients.back().key_wire());
+      msgs.push_back(random_msg(stack().config.pasta.t + 2 * c + 1, 400 + c));
+    }
+  }
+
+  /// A fresh service with every tenant onboarded from the same key bytes.
+  TranscipherService onboarded_service() const {
+    auto service = make_service(sweep_cfg());
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      EXPECT_TRUE(service.open_session_wire(clients[c].id, key_wires[c]));
+    }
+    return service;
+  }
+
+  std::vector<TranscipherRequest> requests_with_nonce(u64 nonce) const {
+    std::vector<TranscipherRequest> reqs;
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      reqs.push_back(clients[c].request(nonce, msgs[c]));
+    }
+    return reqs;
+  }
+
+  // Two waves of interleaved tenants per call: 12 blocks over 3 batches of
+  // 4 tiles, every batch packing two tenants.
+  std::vector<TranscipherRequest> two_wave_requests(u64 nonce) const {
+    auto reqs = requests_with_nonce(nonce);
+    const auto wave2 = requests_with_nonce(nonce + 1);
+    reqs.insert(reqs.end(), wave2.begin(), wave2.end());
+    return reqs;
+  }
+};
+
 TEST(FaultSweep, RandomScheduleSweep) {
   // ≥ 6 instrumented sites across ≥ 4 fault classes go through the sweep.
   ASSERT_GE(std::size(kSweepMenu), 6u);
@@ -521,50 +549,16 @@ TEST(FaultSweep, RandomScheduleSweep) {
   const u64 schedules = env_u64("POE_FAULT_SCHEDULES", 4);
   RecordProperty("poe_fault_seed", std::to_string(base_seed));
 
-  ServiceConfig cfg;
-  cfg.pipelined = true;
-  cfg.max_stage_attempts = 3;
-  cfg.backoff_base_s = 1e-4;
-  cfg.stage_timeout_s = 2.0;
-  cfg.queue_push_timeout_s = 5.0;
-  // Small batches force SEVERAL cross-tenant packed batches per call, so
-  // every site (including the per-tenant pack sites) gets enough arrivals
-  // for the schedules' random arrival windows.
-  cfg.max_batch_blocks = 4;
-
-  std::vector<TestClient> clients;
-  std::vector<std::vector<std::uint8_t>> key_wires;
-  std::vector<std::vector<u64>> msgs;
-  for (u64 c = 0; c < 3; ++c) {
-    clients.emplace_back(30 + c, 300 + c);
-    key_wires.push_back(clients.back().key_wire());
-    msgs.push_back(random_msg(stack().config.pasta.t + 2 * c + 1, 400 + c));
-  }
-  auto requests_with_nonce = [&](u64 nonce) {
-    std::vector<TranscipherRequest> reqs;
-    for (std::size_t c = 0; c < clients.size(); ++c) {
-      reqs.push_back(clients[c].request(nonce, msgs[c]));
-    }
-    return reqs;
-  };
-  // Two waves of interleaved tenants per call: 12 blocks over 3 batches of
-  // 4 tiles, every batch packing two tenants.
-  auto two_wave_requests = [&](u64 nonce) {
-    auto reqs = requests_with_nonce(nonce);
-    const auto wave2 = requests_with_nonce(nonce + 1);
-    reqs.insert(reqs.end(), wave2.begin(), wave2.end());
-    return reqs;
-  };
+  const SweepWorkload w;
+  const auto& clients = w.clients;
+  const auto& msgs = w.msgs;
 
   // Fault-free baseline: the bit-exact outputs every surviving request of
   // every fault run must reproduce (same nonce, same key upload bytes).
   std::vector<std::vector<std::vector<std::uint8_t>>> baseline;
   {
-    auto service = make_service(cfg);
-    for (std::size_t c = 0; c < clients.size(); ++c) {
-      ASSERT_TRUE(service.open_session_wire(clients[c].id, key_wires[c]));
-    }
-    const auto results = service.process(two_wave_requests(1));
+    auto service = w.onboarded_service();
+    const auto results = service.process(w.two_wave_requests(1));
     for (std::size_t r = 0; r < results.size(); ++r) {
       ASSERT_TRUE(results[r].ok()) << results[r].error;
       ASSERT_EQ(decode_all(results[r]), msgs[r % clients.size()]);
@@ -575,10 +569,7 @@ TEST(FaultSweep, RandomScheduleSweep) {
   u64 total_fired = 0;
   for (u64 s = 0; s < schedules; ++s) {
     SCOPED_TRACE("schedule seed " + std::to_string(base_seed + s));
-    auto service = make_service(cfg);
-    for (std::size_t c = 0; c < clients.size(); ++c) {
-      ASSERT_TRUE(service.open_session_wire(clients[c].id, key_wires[c]));
-    }
+    auto service = w.onboarded_service();
 
     ArmedScope scope(base_seed + s);
     for (auto& spec :
@@ -588,7 +579,7 @@ TEST(FaultSweep, RandomScheduleSweep) {
     ServiceReport rep;
     // The headline promise: whatever the schedule does, process() returns —
     // every injected fault recovers or degrades to a typed status.
-    const auto results = service.process(two_wave_requests(1), &rep);
+    const auto results = service.process(w.two_wave_requests(1), &rep);
     scope.disarm();
     total_fired += scope.fi.fired_total();
 
@@ -619,9 +610,9 @@ TEST(FaultSweep, RandomScheduleSweep) {
     // schedule may have poisoned a cached session key) and serve fresh
     // nonces on the SAME service instance.
     for (std::size_t c = 0; c < clients.size(); ++c) {
-      ASSERT_TRUE(service.open_session_wire(clients[c].id, key_wires[c]));
+      ASSERT_TRUE(service.open_session_wire(clients[c].id, w.key_wires[c]));
     }
-    const auto after = service.process(requests_with_nonce(100 + s));
+    const auto after = service.process(w.requests_with_nonce(100 + s));
     for (std::size_t c = 0; c < clients.size(); ++c) {
       ASSERT_TRUE(after[c].ok()) << after[c].error;
       EXPECT_EQ(decode_all(after[c]), msgs[c]);
@@ -629,6 +620,63 @@ TEST(FaultSweep, RandomScheduleSweep) {
   }
   // A sweep that never fires is not sweeping; with 3 faults per schedule and
   // small arrival windows this holds for any seed in practice.
+  EXPECT_GT(total_fired, 0u);
+}
+
+// The replay promise (docs/TESTING.md): a failed seed reproduces. Each
+// schedule runs twice, on two fresh services with the same key uploads, and
+// must give the same per-request statuses, FaultStats and per-site fire
+// counts. Only the service.* sites are armed: process() visits them from the
+// caller's thread, while pool.acquire and fhe.hoist.scratch.alloc_fail are
+// visited from pool workers in an order no seed controls.
+TEST(FaultSweep, SeededScheduleReplaysExactly) {
+  std::vector<FaultInjector::MenuEntry> menu;
+  for (const auto& entry : kSweepMenu) {
+    if (entry.site.starts_with("service.")) menu.push_back(entry);
+  }
+  ASSERT_GE(menu.size(), 6u);
+
+  const u64 base_seed = env_u64("POE_FAULT_SEED", 20260805);
+  const u64 schedules = env_u64("POE_FAULT_SCHEDULES", 4);
+  const SweepWorkload w;
+
+  struct Run {
+    std::vector<RequestStatus> statuses;
+    FaultStats faults;
+    std::map<std::string, std::uint64_t> fired_by_site;
+  };
+  auto run = [&](u64 seed) {
+    auto service = w.onboarded_service();
+    ArmedScope scope(seed);
+    for (auto& spec : FaultInjector::random_schedule(seed, menu, 3)) {
+      scope.fi.arm(std::move(spec));
+    }
+    ServiceReport rep;
+    const auto results = service.process(w.two_wave_requests(1), &rep);
+    scope.disarm();
+    Run out;
+    for (const auto& res : results) out.statuses.push_back(res.status);
+    out.faults = rep.faults;
+    out.fired_by_site = scope.fi.fired_by_site();
+    return out;
+  };
+  auto fields = [](const FaultStats& f) {
+    return std::tuple(f.ok, f.rejected, f.shed, f.quarantined, f.timed_out,
+                      f.failed, f.retries, f.stage_timeouts,
+                      f.recovered_batches, f.injected);
+  };
+
+  u64 total_fired = 0;
+  for (u64 s = 0; s < schedules; ++s) {
+    const u64 seed = base_seed + s;
+    SCOPED_TRACE("schedule seed " + std::to_string(seed));
+    const Run first = run(seed);
+    const Run replay = run(seed);
+    EXPECT_EQ(first.statuses, replay.statuses);
+    EXPECT_EQ(fields(first.faults), fields(replay.faults));
+    EXPECT_EQ(first.fired_by_site, replay.fired_by_site);
+    total_fired += first.faults.injected;
+  }
   EXPECT_GT(total_fired, 0u);
 }
 

@@ -68,9 +68,9 @@ LocalCluster& cluster() {
   static LocalCluster c(stack().config, stack().bgv.rns(), [] {
     ClusterConfig cc;
     cc.shards = 2;
-    // Sequential shards: per-site arrival order is exactly the frame order,
-    // so "which wave eats the fault" is deterministic in directed tests.
-    cc.service.pipelined = false;
+    // Each shard's service visits its fault sites from one thread, so
+    // per-site arrival order is exactly the frame order and "which wave
+    // eats the fault" is deterministic in directed tests.
     cc.service.max_stage_attempts = 3;
     cc.service.backoff_base_s = 1e-4;
     cc.service.stage_timeout_s = 2.0;

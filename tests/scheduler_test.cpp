@@ -1,7 +1,7 @@
-// Unit tests for the deadline-aware cross-tenant BatchScheduler (ctest
-// label: tier1). Everything here runs under VIRTUAL time — the scheduler
-// takes `now` as a parameter — so deadline expiry, partial flushes and
-// saturation shedding are pinned exactly, without a single sleep. The
+// Unit tests for the cross-tenant BatchScheduler (ctest label: tier1).
+// Everything here runs under VIRTUAL time — the scheduler takes `now` as a
+// parameter — so flush causes, block waits and saturation shedding are
+// pinned exactly, without a single sleep. The
 // end-to-end service behaviour (kOverloaded mapping, packed evaluation) is
 // covered by service_test.cpp and fault_test.cpp; this file pins the
 // formation logic itself.
@@ -37,49 +37,6 @@ TEST(BatchScheduler, FullBatchFlushesImmediately) {
   EXPECT_EQ(sched.stats().full_flushes, 1u);
   EXPECT_EQ(sched.stats().cross_tenant_batches, 1u);  // tenants {1, 2}
   EXPECT_DOUBLE_EQ(sched.stats().occupancy_sum, 1.0);
-}
-
-TEST(BatchScheduler, DeadlineExpiryFlushesPartialBatch) {
-  BatchScheduler sched(
-      SchedulerConfig{.batch_capacity = 8, .deadline_s = 1.0});
-  EXPECT_TRUE(sched.submit(block(1, 0, 0.0), 0.0));
-  EXPECT_TRUE(sched.submit(block(1, 1, 0.4), 0.4));
-
-  sched.advance(0.99);  // oldest block has waited 0.99 s < 1 s
-  EXPECT_FALSE(sched.next().has_value());
-
-  sched.advance(1.0);  // deadline reached: flush the partial batch
-  const auto batch = sched.next();
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->cause, FlushCause::kDeadline);
-  EXPECT_EQ(batch->blocks.size(), 2u);
-  EXPECT_EQ(sched.stats().deadline_flushes, 1u);
-  EXPECT_DOUBLE_EQ(sched.stats().occupancy_sum, 2.0 / 8.0);
-  // The worst wait is the oldest block's: flushed at 1.0, arrived at 0.0.
-  EXPECT_DOUBLE_EQ(sched.stats().max_wait_s, 1.0);
-
-  // The deadline clock restarts with the next forming batch.
-  EXPECT_TRUE(sched.submit(block(1, 2, 1.5), 1.5));
-  sched.advance(2.4);
-  EXPECT_FALSE(sched.next().has_value());
-  sched.advance(2.5);
-  EXPECT_TRUE(sched.next().has_value());
-}
-
-TEST(BatchScheduler, DeadlineChecksOnSubmitToo) {
-  // A late submit first flushes the expired forming batch, then starts a
-  // new one with the late block — the old batch must not absorb it.
-  BatchScheduler sched(
-      SchedulerConfig{.batch_capacity = 8, .deadline_s = 1.0});
-  EXPECT_TRUE(sched.submit(block(1, 0, 0.0), 0.0));
-  EXPECT_TRUE(sched.submit(block(2, 1, 5.0), 5.0));
-
-  const auto expired = sched.next();
-  ASSERT_TRUE(expired.has_value());
-  EXPECT_EQ(expired->cause, FlushCause::kDeadline);
-  ASSERT_EQ(expired->blocks.size(), 1u);
-  EXPECT_EQ(expired->blocks[0].handle, 0u);
-  EXPECT_EQ(sched.pending_blocks(), 1u);  // handle 1 is forming
 }
 
 TEST(BatchScheduler, DrainFlushesRemainder) {
@@ -142,8 +99,7 @@ TEST(BatchScheduler, StatsPartitionInvariant) {
   // submitted == sum of flushed batch sizes + still-pending blocks, and
   // submitted + shed == everything offered; flush causes partition batches.
   BatchScheduler sched(SchedulerConfig{.batch_capacity = 2,
-                                       .deadline_s = 1.0,
-                                       .max_pending_blocks = 6});
+                                       .max_pending_blocks = 5});
   std::size_t offered = 0, accepted = 0;
   auto offer = [&](std::uint64_t tenant, double t) {
     ++offered;
@@ -152,18 +108,17 @@ TEST(BatchScheduler, StatsPartitionInvariant) {
   offer(1, 0.0);
   offer(2, 0.1);  // -> full flush
   offer(1, 0.2);
-  sched.advance(1.3);  // -> deadline flush (partial)
-  offer(3, 1.4);
-  offer(3, 1.5);  // -> full flush
-  offer(1, 1.6);     // 5 ready + 1 forming = 6 pending (at the bound)
-  offer(2, 1.7);     // would make 7 > 6: shed
-  sched.drain(2.0);  // -> drain flush of the forming block
+  offer(3, 0.3);  // -> full flush
+  offer(3, 0.4);     // 4 ready + 1 forming = 5 pending (at the bound)
+  offer(1, 0.5);     // would make 6 > 5: shed
+  sched.drain(1.0);  // -> drain flush of the forming block
 
   const SchedulerStats& stats = sched.stats();
   EXPECT_EQ(stats.submitted, accepted);
   EXPECT_EQ(stats.shed, offered - accepted);
-  EXPECT_EQ(stats.full_flushes + stats.deadline_flushes + stats.drain_flushes,
-            stats.batches);
+  EXPECT_EQ(stats.full_flushes, 2u);
+  EXPECT_EQ(stats.drain_flushes, 1u);
+  EXPECT_EQ(stats.full_flushes + stats.drain_flushes, stats.batches);
   std::size_t flushed_blocks = 0, popped = 0;
   while (auto batch = sched.next()) {
     flushed_blocks += batch->blocks.size();
@@ -171,7 +126,9 @@ TEST(BatchScheduler, StatsPartitionInvariant) {
   }
   EXPECT_EQ(popped, stats.batches);
   EXPECT_EQ(flushed_blocks + sched.pending_blocks(), stats.submitted);
-  EXPECT_EQ(stats.max_pending, 6u);
+  EXPECT_EQ(stats.max_pending, 5u);
+  // The worst wait is the drained block's: arrived at 0.4, flushed at 1.0.
+  EXPECT_DOUBLE_EQ(stats.max_wait_s, 0.6);
   EXPECT_GT(stats.occupancy_sum, 0.0);
 }
 

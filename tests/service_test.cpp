@@ -1,16 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "fhe/serialize.hpp"
 #include "hhe/batched_server.hpp"
-#include "service/pipeline.hpp"
 #include "service/service.hpp"
 
 namespace poe::service {
@@ -90,60 +87,6 @@ std::vector<std::vector<std::uint8_t>> wire_blocks(
     out.push_back(fhe::serialize_ciphertext(stack().bgv.rns(), *block.ct));
   }
   return out;
-}
-
-TEST(BoundedQueue, OrderCloseAndStallAccounting) {
-  BoundedQueue<int> q(1);
-  ASSERT_EQ(q.push(1), PushStatus::kOk);
-  std::thread producer([&] { EXPECT_EQ(q.push(2), PushStatus::kOk); });
-  // Give the producer time to hit the full queue before draining it, so the
-  // push-stall is recorded deterministically (the sleeping main thread
-  // yields the CPU to the producer, which then blocks on the full queue).
-  while (q.push_stalls() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(q.pop(), 1);  // unblocks the producer
-  producer.join();
-  EXPECT_EQ(q.pop(), 2);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_EQ(q.push(3), PushStatus::kClosed);  // closed queue refuses work
-  EXPECT_EQ(q.push_stalls(), 1u);
-  EXPECT_EQ(q.max_depth(), 1u);
-}
-
-TEST(BoundedQueue, CloseWakesBlockedProducer) {
-  // Shutdown race regression: a producer blocked in push() on a full queue
-  // must wake with kClosed when the consumer closes the queue, instead of
-  // sleeping forever on a condition nobody will ever signal.
-  BoundedQueue<int> q(1);
-  ASSERT_EQ(q.push(1), PushStatus::kOk);
-  PushStatus blocked_result = PushStatus::kOk;
-  std::thread producer([&] { blocked_result = q.push(2); });
-  while (q.push_stalls() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  q.close();  // producer is parked in push(); this must wake it
-  producer.join();
-  EXPECT_EQ(blocked_result, PushStatus::kClosed);
-  // The item enqueued before the close still drains.
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, PushForTimesOutWhenSaturated) {
-  BoundedQueue<int> q(1);
-  ASSERT_EQ(q.push(1), PushStatus::kOk);
-  // Saturated queue + bounded wait: the value is refused, not enqueued.
-  EXPECT_EQ(q.push_for(2, std::chrono::milliseconds(5)),
-            PushStatus::kTimedOut);
-  EXPECT_EQ(q.pop(), 1);
-  // With space available the bounded push behaves like push().
-  EXPECT_EQ(q.push_for(3, std::chrono::milliseconds(5)), PushStatus::kOk);
-  EXPECT_EQ(q.pop(), 3);
-  q.close();
-  EXPECT_EQ(q.push_for(4, std::chrono::milliseconds(5)), PushStatus::kClosed);
 }
 
 TEST(TranscipherServiceTest, RoundTripMultiBlockMessage) {
@@ -254,7 +197,6 @@ TEST(TranscipherServiceTest, PackedFlushCausesReported) {
   EXPECT_EQ(report.batches, 2u);
   EXPECT_EQ(report.full_flushes, 1u);
   EXPECT_EQ(report.drain_flushes, 1u);
-  EXPECT_EQ(report.deadline_flushes, 0u);  // no deadline configured
   EXPECT_EQ(report.cross_tenant_batches, 1u);  // the full alice+bob batch
   EXPECT_DOUBLE_EQ(report.avg_batch_occupancy, 0.75);  // (2/2 + 1/2) / 2
   EXPECT_GE(report.max_batch_wait_s, 0.0);
@@ -426,7 +368,7 @@ TEST(TranscipherServiceTest, NonceWindowSlidesOldReplaysOut) {
   // passed, the oldest nonce falls out of the window and is accepted again
   // (the documented trade-off of a bounded window, pinned here).
   auto service = make_service(
-      ServiceConfig{.pipelined = false, .max_tracked_nonces = 3});
+      ServiceConfig{.max_tracked_nonces = 3});
   TestClient client(16, 84);
   service.open_session(client.id, client.encrypted_key());
   const auto msg = random_msg(2, 85);
@@ -448,7 +390,7 @@ TEST(TranscipherServiceTest, NonceWindowSlidesOldReplaysOut) {
 
 TEST(TranscipherServiceTest, AdmissionLoadShedIsTypedAndRetriable) {
   auto service = make_service(
-      ServiceConfig{.pipelined = false, .max_pending_blocks = 2});
+      ServiceConfig{.max_pending_blocks = 2});
   TestClient client(17, 86);
   service.open_session(client.id, client.encrypted_key());
   const auto msg = random_msg(2, 87);  // 1 block per request
@@ -476,7 +418,7 @@ TEST(TranscipherServiceTest, ReportAccountingConsistent) {
   // partition the requests, and every other counter must stay consistent
   // with what actually ran.
   auto service = make_service(
-      ServiceConfig{.pipelined = false, .max_pending_blocks = 3});
+      ServiceConfig{.max_pending_blocks = 3});
   TestClient alice(20, 88), bob(21, 89), carol(22, 90);
   service.open_session(alice.id, alice.encrypted_key());
   service.open_session(bob.id, bob.encrypted_key());
@@ -575,27 +517,6 @@ TEST(TranscipherServiceTest, OpenSessionWireRejectsHostileBytes) {
   const auto results = service.process(std::vector{client.request(7, msg)});
   ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(decode_all(results[0]), msg);
-}
-
-TEST(TranscipherServiceTest, PipelinedMatchesUnpipelined) {
-  auto pipelined = make_service(ServiceConfig{.pipelined = true});
-  auto sequential = make_service(ServiceConfig{.pipelined = false});
-  TestClient client(8, 91);
-  pipelined.open_session(client.id, client.encrypted_key());
-  sequential.open_session(client.id, client.encrypted_key());
-
-  const auto msg = random_msg(stack().config.pasta.t + 2, 92);
-  const auto req = std::vector{client.request(4, msg)};
-  ServiceReport rep_p, rep_s;
-  const auto out_p = pipelined.process(req, &rep_p);
-  const auto out_s = sequential.process(req, &rep_s);
-
-  EXPECT_EQ(decode_all(out_p[0]), msg);
-  EXPECT_EQ(decode_all(out_s[0]), msg);
-  EXPECT_EQ(rep_p.batches, rep_s.batches);
-  EXPECT_EQ(rep_p.blocks, rep_s.blocks);
-  EXPECT_GE(rep_p.max_queue_depth, 1u);
-  EXPECT_EQ(rep_s.max_queue_depth, 0u);  // no queue in the sequential path
 }
 
 // ---------------------------------------------------------------------------
@@ -730,13 +651,12 @@ TEST(SessionStateTest, ImportMergesWindowsAndRejectsKeylessStranger) {
 }
 
 TEST(SessionStateTest, RaggedMidBatchSnapshotKeepsReplayProtection) {
-  // Nonces are recorded at ADMISSION, before the pipeline runs — so a
+  // Nonces are recorded at ADMISSION, before any batch runs — so a
   // session snapshot taken after a batch failed mid-flight (the "ragged"
   // case: nonce admitted, zero blocks delivered) must still carry that
   // nonce, and a restore must still reject its replay. Losing the in-flight
   // work is fine; reopening the nonce is not.
   ServiceConfig cfg;
-  cfg.pipelined = false;
   cfg.max_stage_attempts = 3;
   cfg.backoff_base_s = 1e-4;
   auto source = make_service(cfg);

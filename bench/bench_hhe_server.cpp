@@ -235,8 +235,8 @@ int main() {
               << fixed(srep.total_s / double(nblocks), 3)
               << " s/block vs " << fixed(bs, 2) << " one-block batch, "
               << fixed(transcipher_s, 2)
-              << " coefficient-wise) — prep overlapped "
-              << fixed(srep.prepare_s, 3) << " s behind evaluation; result "
+              << " coefficient-wise) — prepare "
+              << fixed(srep.prepare_s, 3) << " s of it; result "
               << (sgot == smsg ? "matches" : "MISMATCH") << "\n";
   }
 

@@ -9,13 +9,16 @@
 // relaxed null-pointer load when nothing is armed — and compile away
 // entirely under POE_NO_FAULT_INJECTION. Arrival counters are per site, so
 // a schedule is reproducible from its seed alone as long as each site is
-// visited from one thread. The multi-thread sites, pool.acquire and
-// fhe.hoist.scratch.alloc_fail, are visited from pool workers and are
-// exercised by the invariant-based chaos sweep, not by exact-outcome tests.
+// visited from one thread. The multi-thread site, pool.acquire, is visited
+// from pool workers and is exercised by the invariant-based chaos sweep,
+// not by exact-outcome tests. fhe.hoist.scratch.alloc_fail is visited on
+// the evaluating thread: Bgv::fused_affine leases one scratch per prime
+// there before each affine layer's parallel pass (only a direct caller of
+// rotate_hoisted_into can visit it from elsewhere).
 //
 // Naming convention for sites: <layer>.<point>[.<aspect>], e.g.
 //   pool.acquire            allocation of a polynomial slab
-//   fhe.hoist.scratch.alloc_fail  lease of a hoisted-rotation scratch pair
+//   fhe.hoist.scratch.alloc_fail  lease of a hoisted-rotation scratch
 //   service.prepare         the service's batch-preparation stage
 //   service.prepare.stall   virtual-time stall charged to that stage
 //   service.evaluate        the BGV evaluation stage

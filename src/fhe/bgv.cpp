@@ -1,6 +1,7 @@
 #include "fhe/bgv.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -62,15 +63,6 @@ void Bgv::trim_output_inplace(Ciphertext& a) const {
   const NoiseEstimator est(params_);
   const std::size_t target = est.trim_target(a.noise_bits, a.level, a.size());
   if (target < a.level) mod_switch_to(a, target);
-}
-
-void Bgv::note_fused_affine(Ciphertext& acc, const Ciphertext& src,
-                            std::size_t terms) const {
-  acc.noise_bits =
-      NoiseEstimator(params_).fused_affine(src.noise_bits, acc.level, terms);
-  acc.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kFusedAffine),
-                             record_operand(src.trace_id), -1, 0,
-                             static_cast<std::uint32_t>(terms));
 }
 
 void Bgv::note_mask_mul(Ciphertext& a) const {
@@ -252,19 +244,10 @@ void Bgv::decompose(
 }
 
 void Bgv::ksw_accumulate(
-    Ciphertext& ct, std::span<const RnsPoly> digits,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> which,
-    const KswKey& key, const std::uint32_t* perm) const {
-  ksw_accumulate(ct.parts[0], ct.parts[1], ct.level, digits, which, key,
-                 perm, /*acc0=*/true, /*acc1=*/true);
-}
-
-void Bgv::ksw_accumulate(
     RnsPoly& out0, RnsPoly& out1, std::size_t level,
     std::span<const RnsPoly> digits,
     std::span<const std::pair<std::uint32_t, std::uint32_t>> which,
-    const KswKey& key, const std::uint32_t* perm, bool acc0,
-    bool acc1) const {
+    const KswKey& key, bool acc0, bool acc1) const {
   const std::size_t n = ctx_.n();
   const std::size_t nd = digits.size();
   auto& counters = ctx_.exec().counters();
@@ -288,7 +271,7 @@ void Bgv::ksw_accumulate(
     }
     kern.ksw_accumulate(out0.rns(i).data(), out1.rns(i).data(),
                         dig_ptr.data(), kb_ptr.data(), ka_ptr.data(), nd, n,
-                        perm, ctx_.mod(i), acc0, acc1);
+                        nullptr, ctx_.mod(i), acc0, acc1);
   });
 }
 
@@ -298,7 +281,8 @@ void Bgv::apply_ksw(Ciphertext& ct, const RnsPoly& input_coeff,
   std::vector<RnsPoly> digits;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
   decompose(input_coeff, digits, which);
-  ksw_accumulate(ct, digits, which, key, nullptr);
+  ksw_accumulate(ct.parts[0], ct.parts[1], ct.level, digits, which, key,
+                 /*acc0=*/true, /*acc1=*/true);
 }
 
 namespace {
@@ -355,7 +339,7 @@ void Bgv::apply_galois_inplace(Ciphertext& a, u64 galois_element,
   std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
   decompose(c1, digits, which);
   ksw_accumulate(a.parts[0], a.parts[1], a.level, digits, which, key,
-                 nullptr, /*acc0=*/true, /*acc1=*/false);
+                 /*acc0=*/true, /*acc1=*/false);
   a.parts[0] = a.parts[0].apply_automorphism_ntt(galois_element);
   a.parts[1] = a.parts[1].apply_automorphism_ntt(galois_element);
   a.noise_bits = NoiseEstimator(params_).rotate(a.noise_bits, a.level);
@@ -408,7 +392,7 @@ Ciphertext Bgv::ingest_switch(const Ciphertext& ct,
   std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
   decompose(c1, digits, which);
   ksw_accumulate(out.parts[0], out.parts[1], level, digits, which,
-                 ingest_key, nullptr, /*acc0=*/true, /*acc1=*/false);
+                 ingest_key, /*acc0=*/true, /*acc1=*/false);
   out.noise_bits = NoiseEstimator(params_).relinearize(ct.noise_bits, level);
   out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kIngest),
                              record_operand(ct.trace_id), -1);
@@ -453,7 +437,8 @@ Ciphertext Bgv::rotate_hoisted(const HoistedCt& hoisted, long step,
   out.parts.resize(2);
   out.parts[0] = hoisted.c0;
   out.parts[1] = RnsPoly(&ctx_, hoisted.level, /*ntt_form=*/true);
-  ksw_accumulate(out, hoisted.digits, hoisted.digit_of, it->second, nullptr);
+  ksw_accumulate(out.parts[0], out.parts[1], hoisted.level, hoisted.digits,
+                 hoisted.digit_of, it->second, /*acc0=*/true, /*acc1=*/true);
   out.parts[0] = out.parts[0].apply_automorphism_ntt(g);
   out.parts[1] = out.parts[1].apply_automorphism_ntt(g);
   out.noise_bits =
@@ -541,7 +526,7 @@ void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
   sc.acc0.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
   sc.acc1.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
   ksw_accumulate(sc.acc0, sc.acc1, level, hoisted.digits, hoisted.digit_of,
-                 it->second, nullptr, /*acc0=*/false, /*acc1=*/false);
+                 it->second, /*acc0=*/false, /*acc1=*/false);
   out.level = level;
   out.parts.resize(2);
   out.parts[0].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
@@ -558,6 +543,130 @@ void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
       NoiseEstimator(params_).rotate(hoisted.noise_bits, hoisted.level);
   out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
                              record_operand(hoisted.trace_id), -1);
+}
+
+std::array<Ciphertext, 2> Bgv::fused_affine(
+    const Ciphertext& state, const HoistedCt& hoisted,
+    std::span<const std::array<Plaintext, 2>> diags,
+    const GaloisKeys& keys) const {
+  POE_ENSURE(state.size() == 2, "fused_affine requires a 2-part ciphertext");
+  POE_ENSURE(hoisted.level == state.level &&
+                 hoisted.trace_id == state.trace_id,
+             "fused_affine: `hoisted` must be hoist(state)");
+  const std::size_t n = ctx_.n();
+  const std::size_t level = state.level;
+  POE_ENSURE(diags.size() <= n / 2, "more diagonals than slot columns");
+
+  // Everything order-sensitive happens here, on the calling thread and in
+  // k order, exactly as the per-diagonal composition would do it: the key
+  // lookups, the op counters and the kRotate tape nodes.
+  struct Rotation {
+    const KswKey* key = nullptr;
+    const std::uint32_t* perm = nullptr;
+  };
+  std::vector<Rotation> rotations(diags.size());
+  std::array<std::uint32_t, 2> terms{0, 0};
+  auto& counters = ctx_.exec().counters();
+  for (std::size_t k = 0; k < diags.size(); ++k) {
+    if (diags[k][0].coeffs.empty() && diags[k][1].coeffs.empty()) continue;
+    if (k != 0) {
+      const auto it = keys.keys.find(static_cast<long>(k));
+      POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << k);
+      for (const auto& [j, d] : hoisted.digit_of) {
+        POE_ENSURE(j < it->second.digits.size() &&
+                       d < it->second.digits[j].size(),
+                   "missing ksw digits");
+      }
+      rotations[k] = {&it->second,
+                      ctx_.galois_ntt_perm(galois_elt_for_step(n, k)).data()};
+      counters.bump(counters.automorphism);
+      counters.bump(counters.hoisted_rotation);
+      counters.bump(counters.key_switch);
+      record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
+                  record_operand(hoisted.trace_id), -1);
+    }
+    for (std::size_t v = 0; v < 2; ++v) {
+      if (diags[k][v].coeffs.empty()) continue;
+      ++terms[v];
+      counters.bump(counters.ntt_forward, level);  // the diagonal's encode
+    }
+  }
+  POE_ENSURE(terms[0] + terms[1] > 0, "affine layer produced no terms");
+
+  std::array<Ciphertext, 2> out;
+  for (std::size_t v = 0; v < 2; ++v) {
+    if (terms[v] == 0) continue;
+    out[v].level = level;
+    out[v].parts.emplace_back(&ctx_, level, /*ntt_form=*/true);
+    out[v].parts.emplace_back(&ctx_, level, /*ntt_form=*/true);
+  }
+  // One scratch per prime, leased here rather than in the tasks so the
+  // scratch fault site and the bank's growth do not depend on how the
+  // pool schedules them.
+  std::vector<std::optional<ScratchLease>> leases(level);
+  for (auto& lease : leases) {
+    HoistScratch& sc = *lease.emplace(*this);
+    if (sc.rows.size() < 5 * n) {
+      sc.rows = ctx_.exec().pool().acquire(5 * n, /*zero=*/false);
+    }
+  }
+
+  const auto& kern = ctx_.exec().kernels();
+  const std::size_t nd = hoisted.digits.size();
+  parallel_for(level, [&](std::size_t i) {
+    const auto& m = ctx_.mod(i);
+    u64* const acc0 = (**leases[i]).rows.data();
+    u64* const acc1 = acc0 + n;
+    u64* const rot0 = acc1 + n;
+    u64* const rot1 = rot0 + n;
+    u64* const diag = rot1 + n;
+    std::vector<const u64*> dig_ptr(nd), kb_ptr(nd), ka_ptr(nd);
+    for (std::size_t w = 0; w < nd; ++w) {
+      dig_ptr[w] = hoisted.digits[w].rns(i).data();
+    }
+    for (std::size_t k = 0; k < diags.size(); ++k) {
+      const auto& pair = diags[k];
+      if (pair[0].coeffs.empty() && pair[1].coeffs.empty()) continue;
+      const u64* src0 = state.parts[0].rns(i).data();
+      const u64* src1 = state.parts[1].rns(i).data();
+      if (k != 0) {
+        // rotate_hoisted_into for this prime: overwrite-mode key inner
+        // product, then the closing permute(-add).
+        const Rotation& r = rotations[k];
+        for (std::size_t w = 0; w < nd; ++w) {
+          const auto& dk =
+              r.key->digits[hoisted.digit_of[w].first]
+                           [hoisted.digit_of[w].second];
+          kb_ptr[w] = dk.b.rns(i).data();
+          ka_ptr[w] = dk.a.rns(i).data();
+        }
+        kern.ksw_accumulate(acc0, acc1, dig_ptr.data(), kb_ptr.data(),
+                            ka_ptr.data(), nd, n, nullptr, m,
+                            /*acc0=*/false, /*acc1=*/false);
+        kern.permute_add(rot0, hoisted.c0.rns(i).data(), acc0, r.perm, n, m);
+        kern.permute(rot1, acc1, r.perm, n);
+        src0 = rot0;
+        src1 = rot1;
+      }
+      for (std::size_t v = 0; v < 2; ++v) {
+        if (pair[v].coeffs.empty()) continue;
+        RnsPoly::lift_plaintext_row(pair[v].coeffs, ctx_.t(), m, {diag, n});
+        ctx_.ntt(i).forward({diag, n}, kern);
+        kern.add_mul(out[v].parts[0].rns(i).data(), src0, diag, n, m);
+        kern.add_mul(out[v].parts[1].rns(i).data(), src1, diag, n, m);
+      }
+    }
+  });
+
+  const NoiseEstimator est(params_);
+  for (std::size_t v = 0; v < 2; ++v) {
+    if (terms[v] == 0) continue;
+    out[v].noise_bits = est.fused_affine(state.noise_bits, level, terms[v]);
+    out[v].trace_id =
+        record_node(static_cast<std::uint8_t>(NoiseOp::kFusedAffine),
+                    record_operand(state.trace_id), -1, 0, terms[v]);
+  }
+  return out;
 }
 
 GaloisKeys Bgv::make_rotation_keys(const std::vector<long>& steps) const {

@@ -17,6 +17,7 @@
 // see DESIGN.md for the substitution rationale.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -177,8 +178,10 @@ class Bgv {
   /// Allocation-free variant of rotate_hoisted: the key inner product runs
   /// in overwrite mode into a leased per-evaluator HoistScratch, and the
   /// closing automorphism is a fused permute(-add) straight into `out`,
-  /// whose slabs are reshaped in place — a warmed-up diagonal loop touches
-  /// the pool zero times and copies zero bytes. Bit-identical to
+  /// whose slabs are reshaped in place — a warmed-up caller touches the
+  /// pool zero times and copies zero bytes. The serving path runs its
+  /// rotations inside fused_affine instead; this one-rotation form is the
+  /// reference the fused-layer differential builds from. Bit-identical to
   /// rotate_hoisted (the preserved allocating reference): both compute the
   /// exact residues reduce128(c0 + sum) == add(c0, reduce128(sum)), then
   /// the same slot permutation. `out` may be empty or any previous result;
@@ -186,6 +189,23 @@ class Bgv {
   /// lease distinct scratches.
   void rotate_hoisted_into(const HoistedCt& hoisted, long step,
                            const GaloisKeys& keys, Ciphertext& out) const;
+  /// The diagonal products of one plaintext-diagonal affine layer over a
+  /// hoisted ciphertext (`hoisted` must be hoist(state)): for v = 0, 1,
+  ///   out[v] = sum_k diags[k][v] * rot_k(state)      (rot_0 = state),
+  /// where an empty Plaintext is an identically-zero diagonal and is
+  /// skipped. Bit-identical to zero-seeded add_mul_inplace over
+  /// rotate_hoisted_into and from_plaintext, with the same counters, tape
+  /// nodes (one kRotate per served rotation, then one kFusedAffine per
+  /// non-empty output) and noise bounds. It runs as ONE parallel_for over
+  /// the RNS primes: task i does every rotation, diagonal encode and
+  /// product for prime i, so that prime's hoisted digits stay in cache, in
+  /// five n-word rows of a HoistScratch leased for it on the calling
+  /// thread. An output with no terms comes back with no parts; at least
+  /// one output must have a term.
+  std::array<Ciphertext, 2> fused_affine(
+      const Ciphertext& state, const HoistedCt& hoisted,
+      std::span<const std::array<Plaintext, 2>> diags,
+      const GaloisKeys& keys) const;
 
   // --- Cross-domain ingest (multi-tenant serving).
   /// Key-switching key that moves a 2-part ciphertext encrypted under
@@ -237,13 +257,9 @@ class Bgv {
   /// schedules its own.
   void begin_recording(NoiseTape* tape) const;
   void end_recording() const;
-  /// Accounting hooks for server loops that accumulate on raw RnsPoly parts
-  /// (bypassing the Ciphertext API). note_fused_affine: `acc` holds `terms`
-  /// plaintext-diagonal x rotation products of `src` (all rotations served
-  /// from one hoisted decomposition of src). note_mask_mul: `a` was
-  /// multiplied part-wise by an encoded plaintext mask.
-  void note_fused_affine(Ciphertext& acc, const Ciphertext& src,
-                         std::size_t terms) const;
+  /// Accounting hook for server loops that multiply raw RnsPoly parts
+  /// (bypassing the Ciphertext API): `a` was multiplied part-wise by an
+  /// encoded plaintext mask.
   void note_mask_mul(Ciphertext& a) const;
 
  private:
@@ -278,31 +294,28 @@ class Bgv {
   void decompose(const RnsPoly& input_coeff, std::vector<RnsPoly>& digits,
                  std::vector<std::pair<std::uint32_t, std::uint32_t>>& which)
       const;
-  /// The key inner product: parts[0/1] += sum_w perm(digits[w]) * key_w,
+  /// The key inner product: out0/out1 (+)= sum_w digits[w] * key_w.b/.a,
   /// accumulated lazily in 128 bits (one Barrett reduction per slot instead
-  /// of per digit) and parallelised over RNS components. `perm` (nullable)
-  /// applies an NTT-slot permutation to the digits on the fly — this is how
-  /// a hoisted rotation rotates the shared decomposition for free.
-  void ksw_accumulate(
-      Ciphertext& ct, std::span<const RnsPoly> digits,
-      std::span<const std::pair<std::uint32_t, std::uint32_t>> which,
-      const KswKey& key, const std::uint32_t* perm) const;
-  /// Poly-level core of the above. `acc0`/`acc1` select accumulate vs
-  /// overwrite mode per output (overwrite never reads the destination, so
-  /// reshaped-uninitialised scratch is a valid target).
+  /// of per digit) and parallelised over RNS components. `acc0`/`acc1`
+  /// select accumulate vs overwrite mode per output (overwrite never reads
+  /// the destination, so reshaped-uninitialised scratch is a valid
+  /// target). Rotations need no digit permutation here: galois keys are
+  /// stored tau^-1-permuted (make_galois_key).
   void ksw_accumulate(
       RnsPoly& out0, RnsPoly& out1, std::size_t level,
       std::span<const RnsPoly> digits,
       std::span<const std::pair<std::uint32_t, std::uint32_t>> which,
-      const KswKey& key, const std::uint32_t* perm, bool acc0,
-      bool acc1) const;
+      const KswKey& key, bool acc0, bool acc1) const;
 
-  /// Reusable rotation scratch: the overwrite-mode key-switch outputs that
-  /// rotate_hoisted_into flushes into before the closing permute. Leased
-  /// (never shared) per call; the bank grows to the peak number of
-  /// concurrent rotations and then stops touching the pool.
+  /// Reusable rotation scratch, leased (never shared) per use; the bank
+  /// grows to the peak number of live leases and then stops touching the
+  /// pool. acc0/acc1: the overwrite-mode key-switch outputs that
+  /// rotate_hoisted_into flushes into before the closing permute. rows:
+  /// fused_affine's five n-word rows for one prime (the two inner-product
+  /// outputs, the two rotated parts and the lifted diagonal).
   struct HoistScratch {
     RnsPoly acc0, acc1;
+    PolyBuffer rows;
     std::atomic<bool> in_use{false};
 #ifndef NDEBUG
     std::atomic<int> active{0};  ///< concurrent-aliasing detector

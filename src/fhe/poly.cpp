@@ -213,20 +213,25 @@ RnsPoly RnsPoly::from_plaintext(const RnsContext* ctx, std::size_t level,
                                 std::span<const std::uint64_t> coeffs_mod_t,
                                 bool to_ntt_form) {
   POE_ENSURE(coeffs_mod_t.size() <= ctx->n(), "plaintext too long");
-  RnsPoly p(ctx, level, false);
-  const std::uint64_t t = ctx->t();
-  for (std::size_t j = 0; j < coeffs_mod_t.size(); ++j) {
-    const std::uint64_t c = coeffs_mod_t[j];
-    POE_ENSURE(c < t, "plaintext coefficient out of range");
-    const bool negative = c > t / 2;
-    const std::uint64_t magnitude = negative ? t - c : c;
-    for (std::size_t i = 0; i < level; ++i) {
-      const auto& m = ctx->mod(i);
-      p.rns(i)[j] = negative ? m.neg(magnitude) : magnitude;
-    }
+  RnsPoly p = uninit(ctx, level, false);
+  for (std::size_t i = 0; i < level; ++i) {
+    lift_plaintext_row(coeffs_mod_t, ctx->t(), ctx->mod(i), p.rns(i));
   }
   if (to_ntt_form) p.to_ntt();
   return p;
+}
+
+void RnsPoly::lift_plaintext_row(std::span<const std::uint64_t> coeffs_mod_t,
+                                 std::uint64_t t, const mod::Modulus& m,
+                                 std::span<std::uint64_t> row) {
+  POE_ENSURE(coeffs_mod_t.size() <= row.size(), "plaintext too long");
+  for (std::size_t j = 0; j < coeffs_mod_t.size(); ++j) {
+    const std::uint64_t c = coeffs_mod_t[j];
+    POE_ENSURE(c < t, "plaintext coefficient out of range");
+    row[j] = c > t / 2 ? m.neg(t - c) : c;
+  }
+  std::fill(row.begin() + static_cast<long>(coeffs_mod_t.size()), row.end(),
+            std::uint64_t{0});
 }
 
 RnsPoly RnsPoly::sample_uniform(const RnsContext* ctx, std::size_t level,

@@ -73,6 +73,12 @@ class RnsPoly {
   static RnsPoly from_plaintext(const RnsContext* ctx, std::size_t level,
                                 std::span<const std::uint64_t> coeffs_mod_t,
                                 bool to_ntt_form);
+  /// The centred lift of from_plaintext for ONE prime: row[j] = c_j when
+  /// c_j <= t/2, else -(t - c_j) mod m; words past coeffs_mod_t.size() are
+  /// zeroed. Also the per-prime encode of Bgv::fused_affine.
+  static void lift_plaintext_row(std::span<const std::uint64_t> coeffs_mod_t,
+                                 std::uint64_t t, const mod::Modulus& m,
+                                 std::span<std::uint64_t> row);
 
   /// Uniform element of R_q (per-prime uniform == CRT uniform).
   static RnsPoly sample_uniform(const RnsContext* ctx, std::size_t level,

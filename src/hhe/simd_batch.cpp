@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "modular/modulus.hpp"
 
 namespace poe::hhe {
@@ -88,9 +89,10 @@ PreparedSimdBatch SimdBatchEngine::prepare(
 
   // Per block and affine layer: the Mix-composed matrix
   //   M = Mix * diag(M_L, M_R)   (top: 2*M_L | M_R, bottom: M_L | 2*M_R)
-  // and round constants rc = Mix(rc_l || rc_r), all s x s / s dense.
+  // and round constants rc = Mix(rc_l || rc_r), all s x s / s dense. One
+  // task per block (XOF, sampling, MatGen, composition).
   std::vector<std::vector<std::vector<u64>>> comp(blocks), crc(blocks);
-  for (std::size_t m = 0; m < blocks; ++m) {
+  parallel_for(blocks, [&](std::size_t m) {
     const PreparedBlock pb =
         prepare_block(params, requests[m].nonce, requests[m].counter);
     comp[m].resize(layers);
@@ -116,7 +118,7 @@ PreparedSimdBatch SimdBatchEngine::prepare(
         rcv[t + i] = pm.add(d.rc_l[i], pm.add(d.rc_r[i], d.rc_r[i]));
       }
     }
-  }
+  });
 
   // Mask-folded diagonals. Diagonal k of the tile-local matrix product
   // (D_k(col) = M^{(tile)}(off, (off+k) mod s)) splits into the in-tile part
@@ -124,37 +126,37 @@ PreparedSimdBatch SimdBatchEngine::prepare(
   // (off >= s-k, logically read via rot_{k-s}); the wrap parts are
   // pre-rotated by +s (uB(col) = (D_k*B_k)(col + s)) so every one of them
   // applies to the SAME hoisted rot_k output and the whole wrap accumulator
-  // takes a single closing rotation by cols - s.
-  batch.diags.resize(layers);
-  batch.rc.resize(layers);
-  for (std::size_t l = 0; l < layers; ++l) {
-    batch.diags[l].resize(s);
-    for (std::size_t k = 0; k < s; ++k) {
-      std::vector<u64> ua(cols, 0), ub(cols, 0);
-      bool any_a = false, any_b = false;
-      for (std::size_t col = 0; col < cols; ++col) {
-        {
-          const std::size_t m = col / s, off = col % s;
-          if (m < blocks && off + k < s) {
-            const u64 v = comp[m][l][off * s + off + k];
-            ua[col] = v;
-            any_a = any_a || v != 0;
-          }
-        }
-        {
-          const std::size_t src = (col + s) % cols;
-          const std::size_t m = src / s, off = src % s;
-          if (m < blocks && off + k >= s) {
-            const u64 v = comp[m][l][off * s + off + k - s];
-            ub[col] = v;
-            any_b = any_b || v != 0;
-          }
+  // takes a single closing rotation by cols - s. One task per (layer, k).
+  batch.diags.assign(layers, std::vector<std::array<fhe::Plaintext, 2>>(s));
+  parallel_for(layers * s, [&](std::size_t idx) {
+    const std::size_t l = idx / s, k = idx % s;
+    std::vector<u64> ua(cols, 0), ub(cols, 0);
+    bool any_a = false, any_b = false;
+    for (std::size_t col = 0; col < cols; ++col) {
+      {
+        const std::size_t m = col / s, off = col % s;
+        if (m < blocks && off + k < s) {
+          const u64 v = comp[m][l][off * s + off + k];
+          ua[col] = v;
+          any_a = any_a || v != 0;
         }
       }
-      auto& pair = batch.diags[l][k];
-      if (any_a) pair[0] = encode_cols(ua);
-      if (any_b) pair[1] = encode_cols(ub);
+      {
+        const std::size_t src = (col + s) % cols;
+        const std::size_t m = src / s, off = src % s;
+        if (m < blocks && off + k >= s) {
+          const u64 v = comp[m][l][off * s + off + k - s];
+          ub[col] = v;
+          any_b = any_b || v != 0;
+        }
+      }
     }
+    auto& pair = batch.diags[l][k];
+    if (any_a) pair[0] = encode_cols(ua);
+    if (any_b) pair[1] = encode_cols(ub);
+  });
+  batch.rc.resize(layers);
+  for (std::size_t l = 0; l < layers; ++l) {
     std::vector<u64> rcv(cols, 0);
     for (std::size_t col = 0; col < cols; ++col) {
       const std::size_t m = col / s, off = col % s;
@@ -197,77 +199,31 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
   const CounterSnapshot before = bgv_.rns().exec().snapshot();
 
   Ciphertext state = key_ct;
-  // One rotation output reused across every diagonal of every layer: the
-  // in-place hoisted rotation reshapes these slabs instead of allocating,
-  // so after the first layer the whole diagonal loop runs pool-silent.
-  Ciphertext rot;
 
   // One Mix-composed affine layer: full diagonal method over a hoisted
-  // state. The in-tile parts accumulate directly; the wrap parts (already
-  // pre-rotated by +s in prepare()) accumulate separately and take ONE
-  // closing rotation by cols - s. Each diagonal is fused into its
-  // accumulator with add_mul (zero-seeded accumulators make term 1 a plain
-  // multiply bit-for-bit), so no per-diagonal ciphertext temporary exists.
+  // state, all its rotations, diagonal encodes and products in one
+  // Bgv::fused_affine pass. The in-tile parts accumulate directly; the
+  // wrap parts (already pre-rotated by +s in prepare()) accumulate
+  // separately and take ONE closing rotation by cols - s.
   auto affine = [&](std::size_t l) {
     const fhe::HoistedCt hoisted = bgv_.hoist(state);
-    Ciphertext inner_a, inner_b;
-    bool init_a = false, init_b = false;
-    std::size_t terms_a = 0, terms_b = 0;
-    for (std::size_t k = 0; k < s; ++k) {
-      const auto& pair = batch.diags[l][k];
-      const bool have_a = !pair[0].coeffs.empty();
-      const bool have_b = !pair[1].coeffs.empty();
-      if (!have_a && !have_b) continue;
-      const Ciphertext* src = &state;
-      if (k != 0) {
-        bgv_.rotate_hoisted_into(hoisted, static_cast<long>(k),
-                                 *rotation_keys_, rot);
-        src = &rot;
-      }
-      for (int variant = 0; variant < 2; ++variant) {
-        if (pair[variant].coeffs.empty()) continue;
-        const fhe::RnsPoly diag_ntt =
-            fhe::RnsPoly::from_plaintext(&bgv_.rns(), state.level,
-                                         pair[variant].coeffs,
-                                         /*to_ntt_form=*/true);
-        rep.scalar_multiplications += s;
-        Ciphertext& inner = variant == 0 ? inner_a : inner_b;
-        bool& init = variant == 0 ? init_a : init_b;
-        ++(variant == 0 ? terms_a : terms_b);
-        if (!init) {
-          inner.level = state.level;
-          inner.parts.emplace_back(&bgv_.rns(), state.level,
-                                   /*ntt_form=*/true);
-          inner.parts.emplace_back(&bgv_.rns(), state.level,
-                                   /*ntt_form=*/true);
-          init = true;
-        }
-        for (std::size_t p = 0; p < 2; ++p) {
-          inner.parts[p].add_mul_inplace(src->parts[p], diag_ntt);
-        }
+    auto [acc, wrap_acc] =
+        bgv_.fused_affine(state, hoisted, batch.diags[l], *rotation_keys_);
+    for (const auto& pair : batch.diags[l]) {
+      for (const auto& diag : pair) {
+        if (!diag.coeffs.empty()) rep.scalar_multiplications += s;
       }
     }
-    POE_ENSURE(init_a || init_b, "affine layer produced no terms");
-    // The raw add_mul loops bypassed the tracked bound; account for the
-    // fused diagonal products before the accumulators re-enter the API.
-    if (init_a) bgv_.note_fused_affine(inner_a, state, terms_a);
-    if (init_b) bgv_.note_fused_affine(inner_b, state, terms_b);
-    Ciphertext acc;
-    bool acc_init = false;
-    if (init_a) {
-      acc = std::move(inner_a);
-      acc_init = true;
-    }
-    if (init_b) {
+    if (wrap_acc.size() != 0) {
       const std::size_t wrap = (cols - s) % cols;
       if (wrap != 0) {
-        bgv_.rotate_columns_inplace(inner_b, static_cast<long>(wrap),
+        bgv_.rotate_columns_inplace(wrap_acc, static_cast<long>(wrap),
                                     *rotation_keys_);
       }
-      if (!acc_init) {
-        acc = std::move(inner_b);
+      if (acc.size() == 0) {
+        acc = std::move(wrap_acc);
       } else {
-        bgv_.add_inplace(acc, inner_b);
+        bgv_.add_inplace(acc, wrap_acc);
       }
     }
     bgv_.add_plain_inplace(acc, batch.rc[l]);

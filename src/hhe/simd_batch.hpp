@@ -23,11 +23,13 @@
 //    into one accumulator that takes a single closing rotation by cols-2t.
 //
 //    The affine layer runs the FULL diagonal method on a hoisted state:
-//    Bgv::hoist digit-decomposes the state once and all 2t-1 rotations are
-//    served from it by Bgv::rotate_hoisted (slot permutation + key inner
-//    product, no forward NTTs) — with hoisting, 2t shared-decomposition
-//    rotations are cheaper than a baby/giant split whose giant steps would
-//    each redo the decomposition.
+//    Bgv::hoist digit-decomposes the state once and Bgv::fused_affine
+//    serves all 2t-1 rotations from it (key inner product + slot
+//    permutation, no forward NTTs on the ciphertext), encodes each diagonal
+//    and accumulates the products, in one parallel pass over the RNS
+//    primes. With hoisting, 2t shared-decomposition rotations are cheaper
+//    than a baby/giant split whose giant steps would each redo the
+//    decomposition.
 //  * The linear Mix layer is folded into the preceding affine matrix
 //    (M = Mix · diag(M_L, M_R), rc = Mix(rc_l || rc_r)), removing the
 //    rotate-by-t half swap entirely.
@@ -40,8 +42,8 @@
 //
 // prepare() is pure plaintext-side CPU work (SHAKE squeeze, rejection
 // sampling, matrix generation, diagonal encoding); evaluate() is pure BGV
-// work. The serving layer overlaps prepare(batch N+1) with
-// evaluate(batch N) — the software analogue of the paper's Fig. 3 schedule.
+// work. The serving layer runs them one after the other for each batch;
+// each parallelises internally over the thread pool.
 #pragma once
 
 #include <array>
@@ -79,7 +81,7 @@ struct PreparedSimdBatch {
   std::vector<fhe::Plaintext> rc;            ///< per affine layer
   /// Feistel mask pre-encoded in NTT form at the top level (it is reused in
   /// every round; mul_inplace restricts it to the round's level), shifting
-  /// that encode work onto the prepare thread.
+  /// that encode work into prepare().
   fhe::RnsPoly feistel_mask_ntt;
   fhe::Plaintext message_plain;              ///< symmetric ct, tile-wise
 };
@@ -112,8 +114,9 @@ class SimdBatchEngine {
   const fhe::SlotLayout& layout() const { return layout_; }
 
   /// Plaintext-side precomputation (XOF, sampling, matrices, encoding) for
-  /// up to capacity() blocks. No ciphertext operations; safe to run on a
-  /// separate thread while evaluate() works on a previous batch.
+  /// up to capacity() blocks. No ciphertext operations. Two parallel_for
+  /// loops: one over blocks (per-block randomness, matrices and the Mix
+  /// composition), one over (layer, k) for the diagonal encodes.
   PreparedSimdBatch prepare(std::span<const SimdBlockRequest> requests) const;
 
   /// Homomorphically decrypt all blocks of the batch against the session's

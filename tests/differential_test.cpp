@@ -9,14 +9,19 @@
 // the nightly randomized sweep lives in differential_slow_test.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/exec_context.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fhe/bgv.hpp"
+#include "fhe/noise.hpp"
+#include "fhe/param_search.hpp"
 #include "kernels/backend.hpp"
 #include "hhe/batched_server.hpp"
 #include "hhe/protocol.hpp"
@@ -433,6 +438,182 @@ TEST(HoistedRotationDifferential, InPlaceMatchesAllocatingOnEveryBackend) {
       bgv.rotate_columns_inplace(unhoisted, step, keys);
       EXPECT_EQ(bgv.decrypt(out).coeffs, bgv.decrypt(unhoisted).coeffs)
           << "step " << step;
+    }
+  }
+}
+
+// ------------------------------------- fused affine layer == per-diagonal
+
+namespace {
+using Accumulators = std::array<fhe::Ciphertext, 2>;
+using DiagPairs = std::vector<std::array<fhe::Plaintext, 2>>;
+
+// The per-diagonal composition Bgv::fused_affine replaces: one
+// rotate_hoisted_into per served rotation, one from_plaintext per diagonal
+// and zero-seeded add_mul_inplace, then the layer's accounting (the fused
+// bound, and its tape node appended by hand). `state` must be recorded.
+Accumulators per_diagonal_affine(const fhe::Bgv& bgv,
+                                 const fhe::Ciphertext& state,
+                                 const fhe::HoistedCt& hoisted,
+                                 const DiagPairs& diags,
+                                 const fhe::GaloisKeys& keys,
+                                 fhe::NoiseTape& tape) {
+  Accumulators acc;
+  std::array<std::uint32_t, 2> terms{0, 0};
+  fhe::Ciphertext rot;
+  for (std::size_t k = 0; k < diags.size(); ++k) {
+    const auto& pair = diags[k];
+    if (pair[0].coeffs.empty() && pair[1].coeffs.empty()) continue;
+    const fhe::Ciphertext* src = &state;
+    if (k != 0) {
+      bgv.rotate_hoisted_into(hoisted, static_cast<long>(k), keys, rot);
+      src = &rot;
+    }
+    for (std::size_t v = 0; v < 2; ++v) {
+      if (pair[v].coeffs.empty()) continue;
+      const fhe::RnsPoly diag = fhe::RnsPoly::from_plaintext(
+          &bgv.rns(), state.level, pair[v].coeffs, /*to_ntt_form=*/true);
+      if (terms[v]++ == 0) {
+        acc[v].level = state.level;
+        acc[v].parts.emplace_back(&bgv.rns(), state.level, true);
+        acc[v].parts.emplace_back(&bgv.rns(), state.level, true);
+      }
+      for (std::size_t p = 0; p < 2; ++p) {
+        acc[v].parts[p].add_mul_inplace(src->parts[p], diag);
+      }
+    }
+  }
+  const fhe::NoiseEstimator est(bgv.params());
+  for (std::size_t v = 0; v < 2; ++v) {
+    if (terms[v] == 0) continue;
+    acc[v].noise_bits =
+        est.fused_affine(state.noise_bits, state.level, terms[v]);
+    acc[v].trace_id = tape.append({.op = fhe::NoiseOp::kFusedAffine,
+                                   .a = state.trace_id,
+                                   .terms = terms[v]});
+  }
+  return acc;
+}
+
+// One run of an affine pass: its outputs, the op-counter delta and the
+// tape it recorded.
+struct AffineRun {
+  Accumulators acc;
+  CounterSnapshot ops;
+  fhe::NoiseTape tape;
+};
+
+template <typename Fn>
+void record_run(const fhe::Bgv& bgv, ExecContext& exec, AffineRun& run,
+                Fn&& pass) {
+  const CounterSnapshot before = exec.snapshot();
+  bgv.begin_recording(&run.tape);
+  run.acc = pass();
+  bgv.end_recording();
+  run.ops = exec.snapshot() - before;
+}
+
+void expect_same_run(const AffineRun& want, const AffineRun& got) {
+  for (std::size_t v = 0; v < 2; ++v) {
+    SCOPED_TRACE(v == 0 ? "in-tile" : "wrap");
+    ASSERT_EQ(got.acc[v].size(), want.acc[v].size());
+    if (want.acc[v].size() == 0) continue;
+    EXPECT_TRUE(ciphertext_bits_equal(got.acc[v], want.acc[v]));
+    EXPECT_EQ(got.acc[v].noise_bits, want.acc[v].noise_bits);
+  }
+  // Every op counter; the pool's hit/miss split is left out because the
+  // fused pass leases per-prime rows instead of one polynomial per
+  // diagonal.
+  const auto ops = [](const CounterSnapshot& c) {
+    return std::vector<u64>{c.ntt_forward,  c.ntt_inverse,   c.ct_ct_mul,
+                            c.key_switch,   c.mod_switch,    c.encode,
+                            c.automorphisms, c.hoisted_rotations,
+                            c.bytes_copied};
+  };
+  EXPECT_EQ(ops(got.ops), ops(want.ops));
+  const auto& a = want.tape.nodes();
+  const auto& b = got.tape.nodes();
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i].op == b[i].op && a[i].a == b[i].a && a[i].b == b[i].b &&
+                a[i].scalar == b[i].scalar && a[i].terms == b[i].terms)
+        << "tape node " << i;
+  }
+}
+}  // namespace
+
+// Bgv::fused_affine against the per-diagonal reference, bit for bit, on
+// every kernel backend, at the levels the circuit visits, for a full batch,
+// a sparse one with skipped (empty) diagonals and a wrap-only layer. The
+// fused pass runs twice: on the pool, and as a nested call, which
+// ThreadPool::run executes serially on one thread — so one process covers
+// the parallel and the one-thread schedule.
+TEST(FusedAffineDifferential, MatchesPerDiagonalOnEveryBackendAndLevel) {
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  const std::size_t sdim = config.pasta.state_size();
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    fhe::Bgv bgv(config.bgv, &exec);
+    fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t, &exec);
+    fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
+    const auto keys =
+        hhe::SimdBatchEngine::make_shared_rotation_keys(config, bgv);
+    const hhe::SimdBatchEngine engine(config, bgv, keys);
+
+    Xoshiro256 rng(848484);
+    std::vector<hhe::SimdBlockRequest> blocks;
+    for (std::size_t m = 0; m < engine.capacity(); ++m) {
+      blocks.push_back({.nonce = 9,
+                        .counter = m,
+                        .symmetric_ct = random_msg(rng, config.pasta.p,
+                                                   config.pasta.t)});
+    }
+    const DiagPairs full = engine.prepare(blocks).diags[0];
+    DiagPairs sparse = engine.prepare(std::span(blocks).first(1)).diags[0];
+    for (std::size_t k = 0; k < sdim; ++k) {
+      if (k % 3 == 1) sparse[k][0] = {};
+      if (k % 5 == 2) sparse[k] = {};
+    }
+    DiagPairs wrap_only = full;
+    for (auto& pair : wrap_only) pair[0] = {};
+    const std::pair<const char*, const DiagPairs*> layers[] = {
+        {"full", &full}, {"sparse", &sparse}, {"wrap only", &wrap_only}};
+
+    fhe::NoiseTape setup;
+    bgv.begin_recording(&setup);
+    const auto logical = random_msg(rng, config.bgv.t, config.bgv.n);
+    const fhe::Ciphertext top =
+        bgv.encrypt(encoder.encode(layout.to_slots(logical)));
+    bgv.end_recording();
+    ASSERT_GE(top.trace_id, 0);
+
+    for (const std::size_t level : {12, 10, 7, 5, 3}) {
+      SCOPED_TRACE("level " + std::to_string(level));
+      fhe::Ciphertext state = top;
+      bgv.mod_switch_to(state, level);
+      ASSERT_EQ(state.level, level);
+      const fhe::HoistedCt hoisted = bgv.hoist(state);
+      for (const auto& [name, diags] : layers) {
+        SCOPED_TRACE(name);
+        AffineRun ref, pooled, nested;
+        record_run(bgv, exec, ref, [&] {
+          return per_diagonal_affine(bgv, state, hoisted, *diags, *keys,
+                                     ref.tape);
+        });
+        record_run(bgv, exec, pooled, [&] {
+          return bgv.fused_affine(state, hoisted, *diags, *keys);
+        });
+        record_run(bgv, exec, nested, [&] {
+          Accumulators out;
+          parallel_for(2, [&](std::size_t i) {
+            if (i == 0) out = bgv.fused_affine(state, hoisted, *diags, *keys);
+          });
+          return out;
+        });
+        expect_same_run(ref, pooled);
+        expect_same_run(ref, nested);
+      }
     }
   }
 }

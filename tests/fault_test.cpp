@@ -9,10 +9,9 @@
 // RandomScheduleSweep then drives seeded random fault schedules through the
 // full service and checks invariants only (the status partition,
 // bit-identical outputs for surviving requests against a fault-free
-// baseline, full recovery after disarm): its menu includes pool.acquire and
-// fhe.hoist.scratch.alloc_fail, which pool workers visit in an order that
-// varies run to run, so exact outcomes are not reproducible and invariants
-// must hold for every seed. SeededScheduleReplaysExactly restricts the menu
+// baseline, full recovery after disarm): its menu includes pool.acquire,
+// which pool workers visit in an order that varies run to run, so exact
+// outcomes are not reproducible and invariants must hold for every seed. SeededScheduleReplaysExactly restricts the menu
 // to the service.* sites, which process() visits from the caller's thread
 // only, and holds the replay promise: the same seed gives the same outcome.
 // Reproduce a failed sweep with POE_FAULT_SEED (see docs/TESTING.md);
@@ -627,8 +626,8 @@ TEST(FaultSweep, RandomScheduleSweep) {
 // schedule runs twice, on two fresh services with the same key uploads, and
 // must give the same per-request statuses, FaultStats and per-site fire
 // counts. Only the service.* sites are armed: process() visits them from the
-// caller's thread, while pool.acquire and fhe.hoist.scratch.alloc_fail are
-// visited from pool workers in an order no seed controls.
+// caller's thread, while pool.acquire is visited from pool workers in an
+// order no seed controls.
 TEST(FaultSweep, SeededScheduleReplaysExactly) {
   std::vector<FaultInjector::MenuEntry> menu;
   for (const auto& entry : kSweepMenu) {

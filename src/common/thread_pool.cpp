@@ -108,12 +108,9 @@ void ThreadPool::worker_main() {
   }
 }
 
-void ThreadPool::run(std::size_t count, void* ctx, IndexFn fn,
-                     unsigned max_threads) {
+void ThreadPool::run(std::size_t count, void* ctx, IndexFn fn) {
   if (count == 0) return;
-  const unsigned executors = static_cast<unsigned>(std::min<std::size_t>(
-      count, max_threads == 0 ? workers() + 1 : max_threads));
-  if (executors <= 1 || workers() == 0 || t_in_pool) {
+  if (count == 1 || workers() == 0 || t_in_pool) {
     run_serial(count, ctx, fn);
     return;
   }
@@ -127,7 +124,9 @@ void ThreadPool::run(std::size_t count, void* ctx, IndexFn fn,
     job_count_ = count;
     job_ctx_ = ctx;
     job_fn_ = fn;
-    job_limit_ = executors - 1;  // the caller is the remaining executor
+    // The caller takes one index; at most count - 1 workers join.
+    job_limit_ =
+        static_cast<unsigned>(std::min<std::size_t>(count - 1, workers()));
     job_running_ = 0;
     ++job_id_;
   }

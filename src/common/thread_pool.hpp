@@ -46,8 +46,8 @@ class ThreadPool {
 
   unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
 
-  /// Run fn(ctx, i) for every i in [0, count). Up to `max_threads` executors
-  /// (0 = workers + caller); the calling thread always participates.
+  /// Run fn(ctx, i) for every i in [0, count) on the workers and the
+  /// calling thread, which always participates.
   ///
   /// Exception semantics: the first exception thrown by the body is
   /// rethrown to the caller. Once that failure has been RECORDED — the
@@ -58,7 +58,7 @@ class ThreadPool {
   /// the pool cannot see a throw before it is caught. Nested run() calls
   /// from any executor of a job (worker or caller) execute serially inline
   /// to avoid deadlock.
-  void run(std::size_t count, void* ctx, IndexFn fn, unsigned max_threads = 0);
+  void run(std::size_t count, void* ctx, IndexFn fn);
 
   /// True once a body of the current (or last) job has failed and the pool
   /// has recorded it; from then on no new invocation of that job begins.
@@ -97,12 +97,11 @@ class ThreadPool {
 /// ThreadPool. Deterministic: each index writes its own slot. See
 /// ThreadPool::run for the exception/cancellation semantics.
 template <typename Fn>
-void parallel_for(std::size_t count, Fn&& f, unsigned max_threads = 0) {
+void parallel_for(std::size_t count, Fn&& f) {
   using Body = std::remove_reference_t<Fn>;
   ThreadPool::global().run(
       count, const_cast<Body*>(std::addressof(f)),
-      [](void* ctx, std::size_t i) { (*static_cast<Body*>(ctx))(i); },
-      max_threads);
+      [](void* ctx, std::size_t i) { (*static_cast<Body*>(ctx))(i); });
 }
 
 }  // namespace poe

@@ -318,18 +318,11 @@ std::vector<Ciphertext> HheServer::keystream_circuit(
 std::vector<Ciphertext> HheServer::transcipher_block(
     std::span<const u64> symmetric_ct, u64 nonce, u64 counter,
     ServerReport* report) const {
-  return transcipher_block(symmetric_ct,
-                           prepare_block(config_.pasta, nonce, counter),
-                           report);
-}
-
-std::vector<Ciphertext> HheServer::transcipher_block(
-    std::span<const u64> symmetric_ct, const PreparedBlock& prep,
-    ServerReport* report) const {
   const std::size_t t = config_.pasta.t;
   POE_ENSURE(symmetric_ct.size() <= t && !symmetric_ct.empty(),
              "block must have 1.." << t << " elements");
-  auto ks = keystream_circuit(prep, report);
+  auto ks = keystream_circuit(prepare_block(config_.pasta, nonce, counter),
+                              report);
   std::vector<Ciphertext> out;
   out.reserve(symmetric_ct.size());
   for (std::size_t i = 0; i < symmetric_ct.size(); ++i) {

@@ -54,9 +54,9 @@ struct HheConfig {
 /// Plaintext-side precomputation for one keystream block: the public
 /// randomness (SHAKE squeeze + rejection sampling) with the affine matrices
 /// materialised. Building one touches only the XOF and CPU-side modular
-/// arithmetic — no ciphertext operations — so a serving layer can overlap it
-/// with the BGV evaluation of the *previous* block, the software analogue of
-/// the paper's Fig. 3 schedule (MatGen hidden behind the other units).
+/// arithmetic — no ciphertext operations. Both servers build one per block
+/// before evaluating it; the paper's Fig. 3 overlap of this MatGen work
+/// with the other units is reproduced in the cycle model (hw::).
 struct PreparedBlock {
   std::uint64_t nonce = 0;
   std::uint64_t counter = 0;
@@ -121,11 +121,6 @@ class HheServer {
   std::vector<fhe::Ciphertext> transcipher_block(
       std::span<const std::uint64_t> symmetric_ct, std::uint64_t nonce,
       std::uint64_t counter, ServerReport* report = nullptr) const;
-
-  /// Same, from a PreparedBlock built ahead of time (pipelined serving).
-  std::vector<fhe::Ciphertext> transcipher_block(
-      std::span<const std::uint64_t> symmetric_ct, const PreparedBlock& prep,
-      ServerReport* report = nullptr) const;
 
   /// Transcipher a multi-block message (block i uses counter i).
   std::vector<fhe::Ciphertext> transcipher(

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "fhe/serialize.hpp"
 
@@ -19,74 +20,27 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Local little-endian helpers for the session-state wire form (the service
-// must not depend on src/net/, which sits above it).
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v));
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-struct StateReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const { return bytes.size() - pos; }
-  std::span<const std::uint8_t> need(std::size_t n) {
-    POE_ENSURE(n <= remaining(), "truncated session state: need "
-                                     << n << " bytes, have " << remaining());
-    auto view = bytes.subspan(pos, n);
-    pos += n;
-    return view;
-  }
-  std::uint16_t u16() {
-    auto b = need(2);
-    return static_cast<std::uint16_t>(b[0] | (std::uint16_t{b[1]} << 8));
-  }
-  std::uint32_t u32() {
-    const std::uint32_t lo = u16();
-    const std::uint32_t hi = u16();
-    return lo | (hi << 16);
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    const std::uint64_t hi = u32();
-    return lo | (hi << 32);
-  }
-};
-
 constexpr std::uint32_t kSessionMagic = 0x31534553;  // "SES1"
 constexpr std::uint16_t kSessionVersion = 1;
 }  // namespace
 
 std::vector<std::uint8_t> serialize_session_state(const SessionState& state) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kSessionMagic);
-  put_u16(out, kSessionVersion);
-  put_u16(out, state.has_key ? 1 : 0);
-  put_u64(out, state.client_id);
-  put_u64(out, state.requests_served);
-  put_u64(out, state.blocks_served);
+  WireWriter w;
+  w.u32(kSessionMagic);
+  w.u16(kSessionVersion);
+  w.u16(state.has_key ? 1 : 0);
+  w.u64(state.client_id);
+  w.u64(state.requests_served);
+  w.u64(state.blocks_served);
   POE_ENSURE(state.nonces.size() <= UINT32_MAX, "nonce window too large");
-  put_u32(out, static_cast<std::uint32_t>(state.nonces.size()));
-  for (const u64 nonce : state.nonces) put_u64(out, nonce);
-  if (state.has_key) {
-    POE_ENSURE(state.key_bytes.size() <= UINT32_MAX, "key bytes too large");
-    put_u32(out, static_cast<std::uint32_t>(state.key_bytes.size()));
-    out.insert(out.end(), state.key_bytes.begin(), state.key_bytes.end());
-  }
-  return out;
+  w.u32(static_cast<std::uint32_t>(state.nonces.size()));
+  for (const u64 nonce : state.nonces) w.u64(nonce);
+  if (state.has_key) w.blob(state.key_bytes);
+  return w.take();
 }
 
 SessionState deserialize_session_state(std::span<const std::uint8_t> bytes) {
-  StateReader r{bytes};
+  WireReader r(bytes);
   POE_ENSURE(r.u32() == kSessionMagic, "bad session-state magic");
   const std::uint16_t version = r.u16();
   POE_ENSURE(version == kSessionVersion,
@@ -109,16 +63,10 @@ SessionState deserialize_session_state(std::span<const std::uint8_t> bytes) {
     state.nonces.push_back(r.u64());
   }
   if (state.has_key) {
-    const std::uint32_t key_len = r.u32();
-    POE_ENSURE(key_len <= r.remaining(),
-               "key length " << key_len << " exceeds the remaining "
-                             << r.remaining() << " bytes");
-    auto view = r.need(key_len);
-    state.key_bytes.assign(view.begin(), view.end());
+    const auto key = r.blob();
+    state.key_bytes.assign(key.begin(), key.end());
   }
-  POE_ENSURE(r.remaining() == 0, "session state has "
-                                     << r.remaining()
-                                     << " undeclared trailing bytes");
+  r.expect_done("session state");
   return state;
 }
 
@@ -151,6 +99,10 @@ TranscipherService::TranscipherService(
   POE_ENSURE(service_config_.max_sessions >= 1, "need at least one session");
   POE_ENSURE(service_config_.max_stage_attempts >= 1,
              "need at least one stage attempt");
+  // The backoff before attempt k shifts by k - 2: keep it below 64.
+  POE_ENSURE(service_config_.max_stage_attempts <= 64,
+             "max_stage_attempts " << service_config_.max_stage_attempts
+                                   << " exceeds 64");
   max_batch_ = engine_.capacity();
   if (service_config_.max_batch_blocks != 0) {
     max_batch_ = std::min(max_batch_, service_config_.max_batch_blocks);
@@ -271,9 +223,9 @@ void TranscipherService::touch(u64 /*client_id*/, Session& session) {
   lru_.splice(lru_.begin(), lru_, session.lru_pos);
 }
 
-// ---- process(): admission -> batch formation -> staged prepare/evaluate
-// ---- -> accounting. Per-call state lives in Call; each step is one member
-// ---- function below.
+// ---- process(): admission (which also forms the batches) -> staged
+// ---- prepare/evaluate -> accounting. Per-call state lives in Call; each
+// ---- step is one member function below.
 
 namespace {
 
@@ -285,11 +237,14 @@ struct BlockRef {
 };
 
 /// A formed batch; tile i carries blocks[i], owned by tenants[i] and
-/// delivered to refs[i].
+/// delivered to refs[i]. The batch opened when its first block arrived and
+/// closed when it filled or admission ended (seconds since the call began).
 struct BatchJob {
   std::vector<hhe::SimdBlockRequest> blocks;
   std::vector<BlockRef> refs;
   std::vector<u64> tenants;
+  double opened_s = 0;
+  double closed_s = 0;
 };
 
 enum class BatchState { kPending, kDone, kQuarantined, kTimedOut, kFailed };
@@ -359,14 +314,13 @@ bool run_stage(const ServiceConfig& cfg, ExecContext& exec,
 }  // namespace
 
 struct TranscipherService::Call {
-  Call(std::span<const TranscipherRequest> reqs, ServiceReport& report,
-       const SchedulerConfig& scheduler_config)
+  Call(std::span<const TranscipherRequest> reqs, ServiceReport& report)
       : requests(reqs),
         rep(report),
         results(reqs.size()),
-        scheduler(scheduler_config) {}
+        missing(reqs.size()) {}
 
-  /// Seconds since the call started: the scheduler's virtual clock and
+  /// Seconds since the call started: batch open/close times and
   /// request_latency_s share this origin.
   double now() const { return seconds_since(t_start); }
 
@@ -374,11 +328,7 @@ struct TranscipherService::Call {
   ServiceReport& rep;
   const Clock::time_point t_start = Clock::now();
   std::vector<TranscipherResult> results;
-  /// Owns batch formation (tile assignment, flush causes, backlog bound);
-  /// block payloads wait in `pending`, indexed by the scheduler handle.
-  BatchScheduler scheduler;
-  std::vector<std::pair<hhe::SimdBlockRequest, BlockRef>> pending;
-  std::vector<BatchJob> jobs;
+  std::vector<BatchJob> jobs;  ///< in formation order, tiles in arrival order
   std::vector<BatchOutcome> outcomes;  ///< one per job
   std::vector<std::size_t> missing;    ///< undelivered blocks per request
   double min_noise = 1e9;
@@ -396,12 +346,8 @@ std::vector<TranscipherResult> TranscipherService::process(
   FaultInjector* injector = exec.fault_injector();
   const u64 fired_before = injector != nullptr ? injector->fired_total() : 0;
 
-  Call call(requests, rep,
-            SchedulerConfig{
-                .batch_capacity = max_batch_,
-                .max_pending_blocks = service_config_.max_pending_blocks});
+  Call call(requests, rep);
   admit(call);
-  form_batches(call);
   execute(call);
   account(call);
 
@@ -413,9 +359,10 @@ std::vector<TranscipherResult> TranscipherService::process(
 }
 
 // Admission: session lookup, request sanity, nonce replay, load shedding,
-// block splitting. Rejections are typed per request — hostile input
-// degrades that request, never the batch. Admitted blocks go to the
-// scheduler as they are split, stamped with their arrival time.
+// block splitting and batch formation. Rejections are typed per request —
+// hostile input degrades that request, never the batch. Each admitted block
+// takes the next tile of the last batch, which closes when it holds
+// max_batch_ blocks; the last batch closes when admission ends.
 void TranscipherService::admit(Call& call) {
   const std::size_t t = config_.pasta.t;
   call.rep.requests = call.requests.size();
@@ -449,7 +396,8 @@ void TranscipherService::admit(Call& call) {
       continue;
     }
     const std::size_t nblocks = (req.symmetric_ct.size() + t - 1) / t;
-    if (!call.scheduler.can_accept(nblocks)) {
+    const std::size_t max_pending = service_config_.max_pending_blocks;
+    if (max_pending != 0 && call.rep.blocks + nblocks > max_pending) {
       // Shed BEFORE the nonce is recorded, so the client can resubmit the
       // same request once load drops.
       res.status = RequestStatus::kOverloaded;
@@ -465,6 +413,7 @@ void TranscipherService::admit(Call& call) {
     touch(req.client_id, session);
 
     res.blocks.resize(nblocks);
+    call.missing[r] = nblocks;
     for (std::size_t b = 0; b < nblocks; ++b) {
       const std::size_t begin = b * t;
       const std::size_t len = std::min(t, req.symmetric_ct.size() - begin);
@@ -475,40 +424,19 @@ void TranscipherService::admit(Call& call) {
           req.symmetric_ct.begin() + static_cast<long>(begin),
           req.symmetric_ct.begin() + static_cast<long>(begin + len));
       const double now = call.now();
-      const bool accepted = call.scheduler.submit(
-          ScheduledBlock{.tenant = req.client_id,
-                         .handle = call.pending.size(),
-                         .arrival_s = now},
-          now);
-      POE_ENSURE(accepted, "scheduler refused a pre-admitted block");
-      call.pending.emplace_back(std::move(block),
-                                BlockRef{.request = r, .block = b});
+      if (call.jobs.empty() || call.jobs.back().blocks.size() == max_batch_) {
+        call.jobs.emplace_back().opened_s = now;
+      }
+      BatchJob& job = call.jobs.back();
+      job.blocks.push_back(std::move(block));
+      job.refs.push_back(BlockRef{.request = r, .block = b});
+      job.tenants.push_back(req.client_id);
+      if (job.blocks.size() == max_batch_) job.closed_s = now;
       ++call.rep.blocks;
     }
   }
-}
-
-// Batch formation: end of the admission stream — flush whatever is still
-// forming and materialise the formed batches (tile i = blocks[i], arrival
-// order).
-void TranscipherService::form_batches(Call& call) {
-  call.scheduler.drain(call.now());
-  while (auto formed = call.scheduler.next()) {
-    BatchJob job;
-    job.blocks.reserve(formed->blocks.size());
-    for (const ScheduledBlock& sb : formed->blocks) {
-      auto& [block, ref] = call.pending[sb.handle];
-      job.blocks.push_back(std::move(block));
-      job.refs.push_back(ref);
-      job.tenants.push_back(sb.tenant);
-    }
-    call.jobs.push_back(std::move(job));
-  }
-  call.rep.batches = call.jobs.size();
-  call.outcomes.resize(call.jobs.size());
-  call.missing.resize(call.results.size());
-  for (std::size_t r = 0; r < call.results.size(); ++r) {
-    call.missing[r] = call.results[r].blocks.size();
+  if (!call.jobs.empty() && call.jobs.back().blocks.size() < max_batch_) {
+    call.jobs.back().closed_s = call.now();
   }
 }
 
@@ -517,6 +445,7 @@ void TranscipherService::form_batches(Call& call) {
 // bounded backoff retry.
 void TranscipherService::execute(Call& call) {
   ExecContext& exec = bgv_.rns().exec();
+  call.outcomes.resize(call.jobs.size());
   for (std::size_t j = 0; j < call.jobs.size(); ++j) {
     BatchOutcome& out = call.outcomes[j];
     hhe::PreparedSimdBatch batch;
@@ -632,8 +561,20 @@ void TranscipherService::evaluate_batch(Call& call, std::size_t j,
 // checked) and fill in the call-level report.
 void TranscipherService::account(Call& call) {
   ServiceReport& rep = call.rep;
+  rep.batches = call.jobs.size();
+  double occupancy_sum = 0;
   // A request spanning several batches takes the first failure.
   for (std::size_t j = 0; j < call.jobs.size(); ++j) {
+    const BatchJob& job = call.jobs[j];
+    occupancy_sum += double(job.blocks.size()) / double(max_batch_);
+    if (job.blocks.size() == max_batch_) ++rep.full_flushes;
+    if (std::any_of(job.tenants.begin(), job.tenants.end(),
+                    [&](u64 tenant) { return tenant != job.tenants[0]; })) {
+      ++rep.cross_tenant_batches;
+    }
+    rep.max_batch_wait_s =
+        std::max(rep.max_batch_wait_s, job.closed_s - job.opened_s);
+
     const BatchOutcome& out = call.outcomes[j];
     rep.prepare_s += out.prepare_s;
     rep.eval_s += out.eval_s;
@@ -643,7 +584,7 @@ void TranscipherService::account(Call& call) {
       if (out.recovered) ++rep.faults.recovered_batches;
       continue;
     }
-    for (const BlockRef& ref : call.jobs[j].refs) {
+    for (const BlockRef& ref : job.refs) {
       TranscipherResult& res = call.results[ref.request];
       if (res.status == RequestStatus::kOk) {
         res.status = degraded_status(out.state);
@@ -685,14 +626,11 @@ void TranscipherService::account(Call& call) {
   rep.min_noise_budget_bits = call.evaluated_batches > 0 ? call.min_noise : 0;
   rep.predicted_min_budget_bits =
       call.evaluated_batches > 0 ? call.min_predicted : 0;
-  const SchedulerStats& sched = call.scheduler.stats();
   rep.avg_batch_occupancy =
-      sched.batches > 0 ? sched.occupancy_sum / double(sched.batches) : 0;
+      rep.batches > 0 ? occupancy_sum / double(rep.batches) : 0;
   rep.blocks_per_s = rep.total_s > 0 ? double(rep.blocks) / rep.total_s : 0;
-  rep.full_flushes = sched.full_flushes;
-  rep.drain_flushes = sched.drain_flushes;
-  rep.cross_tenant_batches = sched.cross_tenant_batches;
-  rep.max_batch_wait_s = sched.max_wait_s;
+  // Only the last batch can close partial, at the end of admission.
+  rep.drain_flushes = rep.batches - rep.full_flushes;
   rep.session_evictions = evictions_;
 }
 

@@ -9,15 +9,16 @@
 //    form, validating it before it can touch a batch.
 //  * Cross-tenant packing. A request carries a whole message; the service
 //    splits it into PASTA blocks (block i uses counter i, matching
-//    pasta::PastaCipher::encrypt) and a BatchScheduler packs blocks of
-//    DIFFERENT clients into one SIMD batch of up to batch_capacity() tiles. Each tenant's tiled key is restricted to its
-//    assigned tiles by a 0/1 mask and the masked keys are summed into one
-//    packed key ciphertext (SimdBatchEngine::merge_tenant_keys); on output
-//    each tenant receives a masked extraction carrying only its own slots.
-//    Keys uploaded under a tenant's own BGV secret are key-switched into
-//    the service's evaluation domain on ingest (open_session_switched).
-//    The scheduler is the only batch-formation path: a call with one
-//    client forms that client's batches the same way.
+//    pasta::PastaCipher::encrypt) and admission packs the blocks of a call,
+//    in arrival order and whatever their client, into consecutive SIMD
+//    batches of batch_capacity() tiles; only the last batch can be partial.
+//    Each tenant's tiled key is restricted to its assigned tiles by a 0/1
+//    mask and the masked keys are summed into one packed key ciphertext
+//    (SimdBatchEngine::merge_tenant_keys); on output each tenant receives a
+//    masked extraction carrying only its own slots. Keys uploaded under a
+//    tenant's own BGV secret are key-switched into the service's evaluation
+//    domain on ingest (open_session_switched). A call with one client forms
+//    that client's batches the same way.
 //  * Staged execution. Each formed batch is prepared (SHAKE squeeze,
 //    rejection sampling, matrix generation, diagonal encoding — pure CPU
 //    work) and then evaluated under BGV, one batch after another on the
@@ -58,7 +59,6 @@
 #include "common/exec_context.hpp"
 #include "fhe/bgv.hpp"
 #include "hhe/simd_batch.hpp"
-#include "service/scheduler.hpp"
 
 namespace poe::service {
 
@@ -72,7 +72,7 @@ struct ServiceConfig {
   /// Admission-level load shedding: blocks admitted per process() call
   /// beyond this are rejected kOverloaded. 0 = unbounded.
   std::size_t max_pending_blocks = 0;
-  /// Attempts per stage per batch (1 = no retry).
+  /// Attempts per stage per batch, 1..64 (1 = no retry).
   std::size_t max_stage_attempts = 3;
   /// A stage (prepare or evaluate of one batch) slower than this — real
   /// time plus any injected virtual stall — counts as a timeout and is
@@ -176,12 +176,12 @@ struct ServiceReport {
   std::size_t eval_stalls = 0;  ///< always 0, see prepare_stalls
   double avg_batch_occupancy = 0;  ///< mean fill fraction of the batches
   double blocks_per_s = 0;
-  // --- Batch-scheduler accounting: why each batch left the forming stage,
-  // --- and the packing reach.
-  std::size_t full_flushes = 0;   ///< batches flushed at capacity
-  std::size_t drain_flushes = 0;  ///< partial batches flushed at drain
+  // --- Batch formation: how each batch closed, and the packing reach.
+  std::size_t full_flushes = 0;   ///< batches closed at capacity
+  std::size_t drain_flushes = 0;  ///< partial batch closed at end of admission
   std::size_t cross_tenant_batches = 0;  ///< batches packing >1 tenant
-  double max_batch_wait_s = 0;  ///< worst block arrival -> flush wait
+  /// Worst wait of a batch's first block: its arrival -> the batch closing.
+  double max_batch_wait_s = 0;
   double min_noise_budget_bits = 0;  ///< worst batch output
   /// Budget implied by the server-side tracked bound for the same worst
   /// deliverable — computable without the secret key. Soundness invariant
@@ -236,11 +236,10 @@ class TranscipherService {
   std::size_t batch_capacity() const { return max_batch_; }
   const hhe::SimdBatchEngine& engine() const { return engine_; }
 
-  /// Transcipher a group of requests in four steps — admission, batch
-  /// formation (BatchScheduler), staged execution (prepare then evaluate,
-  /// batch by batch), accounting — and return one result per request (same
-  /// order). Every
-  /// per-request problem — unknown session, replayed nonce, malformed
+  /// Transcipher a group of requests in three steps — admission (which
+  /// splits the messages into blocks and packs them into batches), staged
+  /// execution (prepare then evaluate, batch by batch), accounting — and
+  /// return one result per request (same order). Every per-request problem — unknown session, replayed nonce, malformed
   /// message, shed load, poisoned key, exhausted retries — lands as a typed
   /// status on that request's result; healthy requests are unaffected.
   std::vector<TranscipherResult> process(
@@ -277,7 +276,7 @@ class TranscipherService {
     std::unordered_set<std::uint64_t> nonce_set;
     std::deque<std::uint64_t> nonce_order;  ///< bounded replay window
     std::list<std::uint64_t>::iterator lru_pos;
-    std::uint64_t requests_served = 0;  ///< kOk requests (scheduler stats)
+    std::uint64_t requests_served = 0;  ///< kOk requests
     std::uint64_t blocks_served = 0;
   };
 
@@ -286,7 +285,6 @@ class TranscipherService {
   /// Per-call state of process() and its steps (defined in service.cpp).
   struct Call;
   void admit(Call& call);
-  void form_batches(Call& call);
   void execute(Call& call);
   void evaluate_batch(Call& call, std::size_t job,
                       const hhe::PreparedSimdBatch& batch);

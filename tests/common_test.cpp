@@ -160,8 +160,7 @@ TEST(Bignum, FuzzAgainstInt128) {
 
 TEST(Parallel, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); },
-               /*max_threads=*/4);
+  parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -179,19 +178,23 @@ TEST(Parallel, PropagatesExceptions) {
           100,
           [&](std::size_t i) {
             if (i == 57) throw Error("boom");
-          },
-          4),
+          }),
       Error);
 }
 
 TEST(Parallel, DeterministicResultsAcrossThreadCounts) {
-  auto run = [](unsigned threads) {
+  // Dedicated pools: a workerless one runs the loop serially, three
+  // workers plus the caller make four executors.
+  auto run = [](unsigned workers) {
+    ThreadPool pool(workers);
     std::vector<std::uint64_t> out(256);
-    parallel_for(
-        256, [&](std::size_t i) { out[i] = i * i + 7; }, threads);
+    auto body = [&](std::size_t i) { out[i] = i * i + 7; };
+    using Body = decltype(body);
+    pool.run(out.size(), std::addressof(body),
+             [](void* ctx, std::size_t i) { (*static_cast<Body*>(ctx))(i); });
     return out;
   };
-  EXPECT_EQ(run(1), run(4));
+  EXPECT_EQ(run(0), run(3));
 }
 
 TEST(Parallel, ParseThreadsEnv) {

@@ -199,7 +199,10 @@ TEST(TranscipherServiceTest, PackedFlushCausesReported) {
   EXPECT_EQ(report.drain_flushes, 1u);
   EXPECT_EQ(report.cross_tenant_batches, 1u);  // the full alice+bob batch
   EXPECT_DOUBLE_EQ(report.avg_batch_occupancy, 0.75);  // (2/2 + 1/2) / 2
+  // The full batch waited for bob's block, the partial one for the end of
+  // admission: both inside the call.
   EXPECT_GE(report.max_batch_wait_s, 0.0);
+  EXPECT_LE(report.max_batch_wait_s, report.total_s);
   EXPECT_EQ(decode_all(results[0]), msg_1);
   EXPECT_EQ(decode_all(results[1]), msg_2);
   EXPECT_EQ(decode_all(results[2]), msg_3);
@@ -256,6 +259,11 @@ TEST(TranscipherServiceTest, MaxBatchBlocksSplitsBatches) {
 
   EXPECT_EQ(report.blocks, 4u);
   EXPECT_EQ(report.batches, 2u);
+  // The four blocks fill both batches exactly: nothing is left to close
+  // partial at the end of admission.
+  EXPECT_EQ(report.full_flushes, 2u);
+  EXPECT_EQ(report.drain_flushes, 0u);
+  EXPECT_EQ(report.cross_tenant_batches, 0u);
   EXPECT_DOUBLE_EQ(report.avg_batch_occupancy, 1.0);
   EXPECT_EQ(decode_all(results[0]), msg);
 }
@@ -411,6 +419,42 @@ TEST(TranscipherServiceTest, AdmissionLoadShedIsTypedAndRetriable) {
   const auto retry = service.process(std::vector{client.request(12, msg)});
   ASSERT_TRUE(retry[0].ok());
   EXPECT_EQ(decode_all(retry[0]), msg);
+}
+
+TEST(TranscipherServiceTest, MultiBlockRequestShedsWhole) {
+  // The bound counts the blocks admitted so far in the call. A request
+  // whose blocks would cross it is refused whole, even though some of them
+  // would fit, and a smaller request after it is still admitted.
+  auto service = make_service(ServiceConfig{.max_pending_blocks = 3});
+  TestClient client(18, 84);
+  service.open_session(client.id, client.encrypted_key());
+  const std::size_t t = stack().config.pasta.t;
+  const auto one = random_msg(2, 85);
+  const auto three = random_msg(2 * t + 1, 83);
+  const auto two = random_msg(t + 1, 82);
+
+  ServiceReport report;
+  const auto results = service.process(
+      std::vector{client.request(1, one), client.request(2, three),
+                  client.request(3, two)},
+      &report);
+  ASSERT_TRUE(results[0].ok()) << results[0].error;
+  EXPECT_EQ(results[1].status, RequestStatus::kOverloaded);
+  ASSERT_TRUE(results[2].ok()) << results[2].error;
+  EXPECT_EQ(report.blocks, 3u);
+  EXPECT_EQ(report.faults.shed, 1u);
+  EXPECT_EQ(decode_all(results[0]), one);
+  EXPECT_EQ(decode_all(results[2]), two);
+}
+
+TEST(TranscipherServiceTest, StageAttemptsAreBounded) {
+  // The retry backoff doubles per attempt; past 64 attempts its shift would
+  // leave the 64-bit range, so the config is refused up front.
+  EXPECT_NO_THROW(make_service(ServiceConfig{.max_stage_attempts = 64}));
+  EXPECT_THROW(make_service(ServiceConfig{.max_stage_attempts = 65}),
+               poe::Error);
+  EXPECT_THROW(make_service(ServiceConfig{.max_stage_attempts = 0}),
+               poe::Error);
 }
 
 TEST(TranscipherServiceTest, ReportAccountingConsistent) {

@@ -188,7 +188,10 @@ BENCHMARK(BM_AcceleratorBlock)->Arg(3)->Arg(4);
 // Times the three hot kernels (forward NTT, pointwise Barrett mul, lazy ksw
 // inner product) on EVERY backend usable on this machine and splices the
 // results into BENCH_hhe.json as "kernel_backends", so a regression in the
-// SIMD paths is visible next to the end-to-end transcipher numbers.
+// SIMD paths is visible next to the end-to-end transcipher numbers. The ksw
+// inner product is timed twice more at the batched circuit's shape, in ns
+// per multiply-accumulate: with cache-hot keys, and streaming the keys of a
+// whole affine layer the way Bgv::fused_affine reads them.
 
 /// ns/op of `op`, timed until the sample is at least ~30 ms long.
 template <typename F>
@@ -218,24 +221,54 @@ void run_kernel_backend_comparison() {
   std::vector<std::uint64_t> a(n), b(n), lo(n), hi(n);
   for (auto& x : a) x = rng.below(q);
   for (auto& x : b) x = rng.below(q);
-  std::vector<std::vector<std::uint64_t>> dig(nd), kb(nd), ka(nd);
-  std::vector<const std::uint64_t*> dig_p(nd), kb_p(nd), ka_p(nd);
+  std::vector<std::vector<std::uint64_t>> dig(nd);
+  std::vector<const std::uint64_t*> dig_p(nd);
   for (std::size_t w = 0; w < nd; ++w) {
-    dig[w].resize(n), kb[w].resize(n), ka[w].resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dig[w][i] = rng.below(q), kb[w][i] = rng.below(q),
-      ka[w][i] = rng.below(q);
-    }
-    dig_p[w] = dig[w].data(), kb_p[w] = kb[w].data(), ka_p[w] = ka[w].data();
+    dig[w].resize(n);
+    for (auto& x : dig[w]) x = rng.below(q);
+    dig_p[w] = dig[w].data();
   }
+  const std::size_t stride = 2 * kernels::kKswLanes * nd;
+  std::vector<std::uint64_t> key(stride * n / kernels::kKswLanes);
+  for (auto& x : key) x = rng.below(q);
+
+  // One affine layer of the batched circuit at the top level (batched_test:
+  // n = 1024, 12 primes of 57 bits, 3 digits each): 15 rotations, each with
+  // its own 36-key slab per prime — 106 MB of keys, far beyond L2.
+  const std::size_t sn = 1024, primes = 12, rotations = 15, snd = 36;
+  const auto chain = mod::ntt_prime_chain(primes, 57, sn);
+  const std::size_t sstride = 2 * kernels::kKswLanes * snd;
+  std::vector<std::vector<std::uint64_t>> sdig(primes * snd);
+  std::vector<std::vector<const std::uint64_t*>> sdig_p(primes);
+  std::vector<std::vector<std::uint64_t>> skeys(rotations * primes);
+  for (std::size_t i = 0; i < primes; ++i) {
+    for (std::size_t w = 0; w < snd; ++w) {
+      auto& row = sdig[i * snd + w];
+      row.resize(sn);
+      for (auto& x : row) x = rng.below(chain[i]);
+      sdig_p[i].push_back(row.data());
+    }
+    for (std::size_t k = 0; k < rotations; ++k) {
+      auto& slab = skeys[k * primes + i];
+      slab.resize(sstride * sn / kernels::kKswLanes);
+      for (auto& x : slab) x = rng.below(chain[i]);
+    }
+  }
+  std::vector<mod::Modulus> smods;
+  for (const auto p : chain) smods.emplace_back(p);
+  std::vector<std::uint64_t> acc0(sn), acc1(sn);
+  const double macs_per_call = 2.0 * static_cast<double>(sn * snd);
 
   struct Row {
     const char* kernel;
-    std::vector<std::pair<std::string, double>> ns;  // backend -> ns/op
+    std::vector<std::pair<std::string, double>> ns;  // backend -> ns
+    int decimals = 0;
   };
   std::vector<Row> rows = {{"ntt_4096", {}},
                            {"pointwise_mul_4096", {}},
-                           {"ksw_accumulate_4096x16", {}}};
+                           {"ksw_accumulate_4096x16", {}},
+                           {"ksw_1024x36_hot_ns_per_mac", {}, 2},
+                           {"ksw_1024x36_streamed_ns_per_mac", {}, 2}};
   for (const kernels::Backend* bk : kernels::available_backends()) {
     // NTT output is < q < 4q, so feeding it back in is a legal steady state.
     std::vector<std::uint64_t> x = a;
@@ -249,10 +282,29 @@ void run_kernel_backend_comparison() {
     std::vector<std::uint64_t> d0 = a, d1 = b;
     rows[2].ns.emplace_back(bk->name(), time_ns_per_op([&] {
                               bk->ksw_accumulate(d0.data(), d1.data(),
-                                                 dig_p.data(), kb_p.data(),
-                                                 ka_p.data(), nd, n, nullptr,
-                                                 m);
+                                                 dig_p.data(), key.data(),
+                                                 stride, nd, n, m);
                             }));
+    // Hot: every call re-reads prime 0's digits and ONE key slab (about
+    // 0.9 MB together). Streamed: fused_affine's order — per prime, every
+    // rotation's slab once.
+    const auto layer_call = [&](std::size_t i, std::size_t k) {
+      bk->ksw_accumulate(acc0.data(), acc1.data(), sdig_p[i].data(),
+                         skeys[k * primes + i].data(), sstride, snd, sn,
+                         smods[i], false, false);
+    };
+    rows[3].ns.emplace_back(bk->name(), time_ns_per_op([&] {
+                              for (std::size_t k = 0; k < rotations; ++k) {
+                                layer_call(0, 0);
+                              }
+                            }) / (rotations * macs_per_call));
+    rows[4].ns.emplace_back(bk->name(), time_ns_per_op([&] {
+                              for (std::size_t i = 0; i < primes; ++i) {
+                                for (std::size_t k = 0; k < rotations; ++k) {
+                                  layer_call(i, k);
+                                }
+                              }
+                            }) / (primes * rotations * macs_per_call));
   }
 
   std::cout << "\nkernel backends (ns/op, speedup vs scalar):\n";
@@ -265,13 +317,14 @@ void run_kernel_backend_comparison() {
     const double scalar_ns = row.ns.front().second;
     for (std::size_t i = 0; i < row.ns.size(); ++i) {
       const auto& [name, ns] = row.ns[i];
-      std::cout << "  " << name << "=" << static_cast<std::uint64_t>(ns);
+      std::ostringstream value;
+      value << std::fixed << std::setprecision(row.decimals) << ns;
+      std::cout << "  " << name << "=" << value.str();
       if (i > 0) {
         std::cout << " (" << std::fixed << std::setprecision(2)
                   << scalar_ns / ns << "x)" << std::defaultfloat;
       }
-      js << (i > 0 ? ", " : "") << "\"" << name
-         << "\": " << static_cast<std::uint64_t>(ns);
+      js << (i > 0 ? ", " : "") << "\"" << name << "\": " << value.str();
     }
     js << "}";
     std::cout << "\n";

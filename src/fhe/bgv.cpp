@@ -14,7 +14,12 @@ namespace poe::fhe {
 namespace {
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
+
+// Digits of `relin_digit_bits` bits per residue mod `prime`.
+unsigned digit_count(u64 prime, unsigned dbits) {
+  return (bit_width_u64(prime) + dbits - 1) / dbits;
 }
+}  // namespace
 
 // ---------------------------------------------------------- noise tracking
 
@@ -163,50 +168,87 @@ RnsPoly Bgv::sample_t_noise() const {
   return te;
 }
 
-KswKey Bgv::make_ksw_key(const RnsPoly& target_ntt) const {
+KswKey::KswKey(BufferPool& pool, std::size_t components, std::size_t num_keys,
+               std::size_t n)
+    : num_keys_(num_keys) {
+  const std::size_t groups = (n + kernels::kKswLanes - 1) / kernels::kKswLanes;
+  for (std::size_t i = 0; i < components; ++i) {
+    slabs_.push_back(pool.acquire(group_stride() * groups, /*zero=*/false));
+  }
+}
+
+KswKey Bgv::make_ksw_key(const RnsPoly& target_ntt,
+                         std::span<const std::uint32_t> perm) const {
   // For each prime j and digit d: b = -(a s) + t e + B^d q~_j target, where
   // q~_j's RNS image is the idempotent delta_ij — the target term only
   // appears in component j, scaled by B^d.
   const std::size_t top = ctx_.num_primes();
+  const std::size_t n = ctx_.n();
   const unsigned dbits = params_.relin_digit_bits;
-  KswKey out;
-  out.digits.resize(top);
+  std::size_t num_keys = 0;
   for (std::size_t j = 0; j < top; ++j) {
-    const unsigned qbits = bit_width_u64(ctx_.prime(j));
-    const unsigned digits = (qbits + dbits - 1) / dbits;
+    num_keys += digit_count(ctx_.prime(j), dbits);
+  }
+  KswKey out(ctx_.exec().pool(), top, num_keys, n);
+  const std::size_t stride = out.group_stride();
+  RnsPoly neg_s = s_ntt_;
+  neg_s.negate_inplace();
+  const auto& kern = ctx_.exec().kernels();
+  auto& counters = ctx_.exec().counters();
+  std::vector<RnsPoly> a, te;
+  for (std::size_t j = 0, w0 = 0; j < top; ++j) {
+    // The random draws stay serial and in (j, d) order — each digit key's
+    // uniform a, then its noise e — so the seed fixes the keys.
+    const unsigned digits = digit_count(ctx_.prime(j), dbits);
+    a.clear();
+    te.clear();
     for (unsigned d = 0; d < digits; ++d) {
-      KswKey::DigitKey key;
-      key.a = RnsPoly::sample_uniform(&ctx_, top, rng_, true);
-      key.b = key.a;
-      key.b.mul_inplace(s_ntt_).negate_inplace();
-      key.b.add_inplace(sample_t_noise());
-      {
-        const auto& m = ctx_.mod(j);
-        const u64 factor = m.pow(2, d * dbits);
-        auto dst = key.b.rns(j);
-        auto src = target_ntt.rns(j);
-        for (std::size_t idx = 0; idx < dst.size(); ++idx) {
-          dst[idx] = m.add(dst[idx], m.mul(factor, src[idx]));
+      a.push_back(RnsPoly::sample_uniform(&ctx_, top, rng_, true));
+      te.push_back(RnsPoly::sample_noise(&ctx_, top, rng_));
+    }
+    counters.bump(counters.ntt_forward, digits * top);
+    // The rest draws nothing, so it runs per component: b = t e - a s
+    // (+ the target term), written with a into key w0 + d of the slab.
+    parallel_for(top, [&](std::size_t i) {
+      const auto& m = ctx_.mod(i);
+      const u64 t_mod = params_.t % m.value();
+      const u64 t_shoup = kernels::shoup_precompute(t_mod, m.value());
+      u64* const slab = out.component(i);
+      for (unsigned d = 0; d < digits; ++d) {
+        const auto ra = a[d].rns(i);
+        const auto rb = te[d].rns(i);
+        ctx_.ntt(i).forward(rb, kern);
+        kern.mul_shoup(rb.data(), rb.data(), n, t_mod, t_shoup, m.value());
+        kern.add_mul(rb.data(), ra.data(), neg_s.rns(i).data(), n, m);
+        if (i == j) {
+          const u64 factor = m.pow(2, d * dbits);
+          const auto rt = target_ntt.rns(i);
+          for (std::size_t idx = 0; idx < n; ++idx) {
+            rb[idx] = m.add(rb[idx], m.mul(factor, rt[idx]));
+          }
+        }
+        for (std::size_t idx = 0; idx < n; ++idx) {
+          const std::size_t src = perm.empty() ? idx : perm[idx];
+          u64* const slot = slab + kernels::ksw_key_offset(idx, w0 + d, stride);
+          slot[0] = rb[src];
+          slot[kernels::kKswLanes] = ra[src];
         }
       }
-      out.digits[j].push_back(std::move(key));
-    }
+    });
+    w0 += digits;
   }
   return out;
 }
 
-void Bgv::decompose(
-    const RnsPoly& input_coeff, std::vector<RnsPoly>& digits,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>& which) const {
+void Bgv::decompose(const RnsPoly& input_coeff,
+                    std::vector<RnsPoly>& digits) const {
   POE_ENSURE(!input_coeff.is_ntt(), "ksw input must be in coefficient form");
   const std::size_t level = input_coeff.level();
   const unsigned dbits = params_.relin_digit_bits;
   const u64 mask = (u64{1} << dbits) - 1;
-  which.clear();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
   for (std::size_t j = 0; j < level; ++j) {
-    const unsigned qbits = bit_width_u64(ctx_.prime(j));
-    const unsigned nd = (qbits + dbits - 1) / dbits;
-    for (unsigned d = 0; d < nd; ++d) {
+    for (unsigned d = 0; d < digit_count(ctx_.prime(j), dbits); ++d) {
       which.emplace_back(static_cast<std::uint32_t>(j), d);
     }
   }
@@ -243,35 +285,24 @@ void Bgv::decompose(
   });
 }
 
-void Bgv::ksw_accumulate(
-    RnsPoly& out0, RnsPoly& out1, std::size_t level,
-    std::span<const RnsPoly> digits,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> which,
-    const KswKey& key, bool acc0, bool acc1) const {
+void Bgv::ksw_accumulate(RnsPoly& out0, RnsPoly& out1, std::size_t level,
+                         std::span<const RnsPoly> digits, const KswKey& key,
+                         bool acc0, bool acc1) const {
   const std::size_t n = ctx_.n();
   const std::size_t nd = digits.size();
   auto& counters = ctx_.exec().counters();
   counters.bump(counters.key_switch);
-  for (const auto& [j, d] : which) {
-    POE_ENSURE(j < key.digits.size() && d < key.digits[j].size(),
-               "missing ksw digits");
-  }
+  POE_ENSURE(nd <= key.num_keys(), "missing ksw digits");
   const auto& kern = ctx_.exec().kernels();
   parallel_for(level, [&](std::size_t i) {
     // The lazy 128-bit inner product (raw digit*key sums, one Barrett flush
-    // per slot) lives in the kernel backend. Key components live at the top
-    // level; only the first `level` of them are read. Hoist the per-digit
-    // span lookups out of the slot loop.
-    std::vector<const u64*> dig_ptr(nd), kb_ptr(nd), ka_ptr(nd);
-    for (std::size_t w = 0; w < nd; ++w) {
-      dig_ptr[w] = digits[w].rns(i).data();
-      const auto& dk = key.digits[which[w].first][which[w].second];
-      kb_ptr[w] = dk.b.rns(i).data();
-      ka_ptr[w] = dk.a.rns(i).data();
-    }
-    kern.ksw_accumulate(out0.rns(i).data(), out1.rns(i).data(),
-                        dig_ptr.data(), kb_ptr.data(), ka_ptr.data(), nd, n,
-                        nullptr, ctx_.mod(i), acc0, acc1);
+    // per slot) lives in the kernel backend; it reads the first nd keys of
+    // every group of component i's slab (all a level-`level` switch needs).
+    std::vector<const u64*> dig_ptr(nd);
+    for (std::size_t w = 0; w < nd; ++w) dig_ptr[w] = digits[w].rns(i).data();
+    kern.ksw_accumulate(out0.rns(i).data(), out1.rns(i).data(), dig_ptr.data(),
+                        key.component(i), key.group_stride(), nd, n,
+                        ctx_.mod(i), acc0, acc1);
   });
 }
 
@@ -279,9 +310,8 @@ void Bgv::apply_ksw(Ciphertext& ct, const RnsPoly& input_coeff,
                     const KswKey& key) const {
   POE_ENSURE(input_coeff.level() == ct.level, "ksw input level mismatch");
   std::vector<RnsPoly> digits;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
-  decompose(input_coeff, digits, which);
-  ksw_accumulate(ct.parts[0], ct.parts[1], ct.level, digits, which, key,
+  decompose(input_coeff, digits);
+  ksw_accumulate(ct.parts[0], ct.parts[1], ct.level, digits, key,
                  /*acc0=*/true, /*acc1=*/true);
 }
 
@@ -307,17 +337,12 @@ KswKey Bgv::make_galois_key(u64 galois_element,
   //   sum_w d_w[perm_g(i)] * k_w[i]  ==  perm_g( sum_w d_w[j] * k'_w[j] ).
   // Slot-for-slot the same products and the same lazy-flush schedule, so
   // rotation outputs are bit-identical to the permuted-digit formulation.
+  // The permutation is folded into the slab write (slot j reads the
+  // unpermuted key at perm_{g^-1}(j)), so no permuted copy is made.
   RnsPoly tau_s = s_coeff.apply_automorphism(galois_element);
   tau_s.to_ntt();
-  KswKey key = make_ksw_key(tau_s);
-  const u64 g_inv = inverse_mod_2n(galois_element, ctx_.n());
-  for (auto& prime_digits : key.digits) {
-    for (auto& dk : prime_digits) {
-      dk.b = dk.b.apply_automorphism_ntt(g_inv);
-      dk.a = dk.a.apply_automorphism_ntt(g_inv);
-    }
-  }
-  return key;
+  return make_ksw_key(
+      tau_s, ctx_.galois_ntt_perm(inverse_mod_2n(galois_element, ctx_.n())));
 }
 
 void Bgv::apply_galois_inplace(Ciphertext& a, u64 galois_element,
@@ -336,9 +361,8 @@ void Bgv::apply_galois_inplace(Ciphertext& a, u64 galois_element,
   // decomposition sums into it with a zero seed), so skip the zero-fill.
   a.parts[1] = RnsPoly::uninit(&ctx_, a.level, /*ntt_form=*/true);
   std::vector<RnsPoly> digits;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
-  decompose(c1, digits, which);
-  ksw_accumulate(a.parts[0], a.parts[1], a.level, digits, which, key,
+  decompose(c1, digits);
+  ksw_accumulate(a.parts[0], a.parts[1], a.level, digits, key,
                  /*acc0=*/true, /*acc1=*/false);
   a.parts[0] = a.parts[0].apply_automorphism_ntt(galois_element);
   a.parts[1] = a.parts[1].apply_automorphism_ntt(galois_element);
@@ -389,10 +413,9 @@ Ciphertext Bgv::ingest_switch(const Ciphertext& ct,
   out.parts.push_back(
       RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));  // ksw overwrites
   std::vector<RnsPoly> digits;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
-  decompose(c1, digits, which);
-  ksw_accumulate(out.parts[0], out.parts[1], level, digits, which,
-                 ingest_key, /*acc0=*/true, /*acc1=*/false);
+  decompose(c1, digits);
+  ksw_accumulate(out.parts[0], out.parts[1], level, digits, ingest_key,
+                 /*acc0=*/true, /*acc1=*/false);
   out.noise_bits = NoiseEstimator(params_).relinearize(ct.noise_bits, level);
   out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kIngest),
                              record_operand(ct.trace_id), -1);
@@ -408,7 +431,7 @@ HoistedCt Bgv::hoist(const Ciphertext& ct) const {
   h.c0 = ct.parts[0];
   RnsPoly c1 = ct.parts[1];
   c1.from_ntt();
-  decompose(c1, h.digits, h.digit_of);
+  decompose(c1, h.digits);
   return h;
 }
 
@@ -438,7 +461,7 @@ Ciphertext Bgv::rotate_hoisted(const HoistedCt& hoisted, long step,
   out.parts[0] = hoisted.c0;
   out.parts[1] = RnsPoly(&ctx_, hoisted.level, /*ntt_form=*/true);
   ksw_accumulate(out.parts[0], out.parts[1], hoisted.level, hoisted.digits,
-                 hoisted.digit_of, it->second, /*acc0=*/true, /*acc1=*/true);
+                 it->second, /*acc0=*/true, /*acc1=*/true);
   out.parts[0] = out.parts[0].apply_automorphism_ntt(g);
   out.parts[1] = out.parts[1].apply_automorphism_ntt(g);
   out.noise_bits =
@@ -525,8 +548,8 @@ void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
   HoistScratch& sc = *lease;
   sc.acc0.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
   sc.acc1.reshape_uninit(&ctx_, level, /*ntt_form=*/true);
-  ksw_accumulate(sc.acc0, sc.acc1, level, hoisted.digits, hoisted.digit_of,
-                 it->second, /*acc0=*/false, /*acc1=*/false);
+  ksw_accumulate(sc.acc0, sc.acc1, level, hoisted.digits, it->second,
+                 /*acc0=*/false, /*acc1=*/false);
   out.level = level;
   out.parts.resize(2);
   out.parts[0].reshape_uninit(&ctx_, level, /*ntt_form=*/true);
@@ -572,11 +595,8 @@ std::array<Ciphertext, 2> Bgv::fused_affine(
     if (k != 0) {
       const auto it = keys.keys.find(static_cast<long>(k));
       POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << k);
-      for (const auto& [j, d] : hoisted.digit_of) {
-        POE_ENSURE(j < it->second.digits.size() &&
-                       d < it->second.digits[j].size(),
-                   "missing ksw digits");
-      }
+      POE_ENSURE(hoisted.digits.size() <= it->second.num_keys(),
+                 "missing ksw digits");
       rotations[k] = {&it->second,
                       ctx_.galois_ntt_perm(galois_elt_for_step(n, k)).data()};
       counters.bump(counters.automorphism);
@@ -620,7 +640,7 @@ std::array<Ciphertext, 2> Bgv::fused_affine(
     u64* const rot0 = acc1 + n;
     u64* const rot1 = rot0 + n;
     u64* const diag = rot1 + n;
-    std::vector<const u64*> dig_ptr(nd), kb_ptr(nd), ka_ptr(nd);
+    std::vector<const u64*> dig_ptr(nd);
     for (std::size_t w = 0; w < nd; ++w) {
       dig_ptr[w] = hoisted.digits[w].rns(i).data();
     }
@@ -633,15 +653,8 @@ std::array<Ciphertext, 2> Bgv::fused_affine(
         // rotate_hoisted_into for this prime: overwrite-mode key inner
         // product, then the closing permute(-add).
         const Rotation& r = rotations[k];
-        for (std::size_t w = 0; w < nd; ++w) {
-          const auto& dk =
-              r.key->digits[hoisted.digit_of[w].first]
-                           [hoisted.digit_of[w].second];
-          kb_ptr[w] = dk.b.rns(i).data();
-          ka_ptr[w] = dk.a.rns(i).data();
-        }
-        kern.ksw_accumulate(acc0, acc1, dig_ptr.data(), kb_ptr.data(),
-                            ka_ptr.data(), nd, n, nullptr, m,
+        kern.ksw_accumulate(acc0, acc1, dig_ptr.data(), r.key->component(i),
+                            r.key->group_stride(), nd, n, m,
                             /*acc0=*/false, /*acc1=*/false);
         kern.permute_add(rot0, hoisted.c0.rns(i).data(), acc0, r.perm, n, m);
         kern.permute(rot1, acc1, r.perm, n);
@@ -940,37 +953,68 @@ void Bgv::mod_switch_to(Ciphertext& a, std::size_t level) const {
   // The whole chain of prime drops runs in coefficient form, so a k-level
   // switch costs ONE inverse/forward transform pair per part instead of k —
   // bit-identical to sequential switching, since the NTT round trips between
-  // drops are exact identities.
+  // drops are exact identities. The parts stay flagged NTT: their words are
+  // coefficients only inside this function.
+  const std::size_t from = a.level;
+  const std::size_t parts = a.size();
+  for (const auto& part : a.parts) {
+    POE_ENSURE(part.is_ntt(), "mod switch expects NTT-form parts");
+  }
+  const auto& kern = ctx_.exec().kernels();
+  parallel_for(parts * from, [&](std::size_t k) {
+    ctx_.ntt(k % from).inverse(a.parts[k / from].rns(k % from), kern);
+  });
+  counters.bump(counters.ntt_inverse, parts * from);
+
+  // Drop `cur` (q_last = q_{cur-1} leaves) on component i < cur-1:
+  //   c_i' = (c_i - delta) / q_last,  delta = t [c_last t^-1]_{q_last}
+  // (centred). It reads only c_i and c_last, and t*u mod q_i is one Shoup
+  // product, exact for any 64-bit u.
+  const auto drop = [&](RnsPoly& part, std::size_t cur, std::size_t i) {
+    const LevelData& lvl = ctx_.level(cur);
+    const std::size_t last = cur - 1;
+    const auto& mlast = ctx_.mod(last);
+    const u64 qlast = mlast.value();
+    const auto& m = ctx_.mod(i);
+    const u64 q = m.value();
+    const u64 t_mod = params_.t % q;
+    const u64 t_shoup = kernels::shoup_precompute(t_mod, q);
+    const u64 t_qlast_mod = m.mul(t_mod, qlast % q);
+    const auto clast = part.rns(last);
+    auto ci = part.rns(i);
+    for (std::size_t idx = 0; idx < ci.size(); ++idx) {
+      const u64 u = mlast.mul(clast[idx], lvl.t_inv_mod_qlast);
+      u64 delta = u * t_mod -
+                  static_cast<u64>((static_cast<u128>(u) * t_shoup) >> 64) * q;
+      if (delta >= q) delta -= q;
+      if (u > qlast / 2) delta = m.sub(delta, t_qlast_mod);
+      ci[idx] = m.mul(m.sub(ci[idx], delta), lvl.qlast_inv[i]);
+    }
+  };
+  // Later drops read the dropped components, so those are corrected first,
+  // in drop order (empty for a one-prime switch). Every surviving (part,
+  // component) is then independent: all its drops, then its forward NTT.
   for (auto& part : a.parts) {
-    part.from_ntt();
-    for (std::size_t cur = a.level; cur > level; --cur) {
-      const LevelData& lvl = ctx_.level(cur);
-      const std::size_t last = cur - 1;
-      const u64 qlast = ctx_.prime(last);
-      const u64 qlast_half = qlast / 2;
-      const auto clast = part.rns(last);
-      for (std::size_t i = 0; i < last; ++i) {
-        const auto& m = ctx_.mod(i);
-        const u64 t_mod = params_.t % m.value();
-        const u64 t_qlast_mod = m.mul(t_mod, qlast % m.value());
-        auto ci = part.rns(i);
-        for (std::size_t idx = 0; idx < ci.size(); ++idx) {
-          // u = [c * t^{-1}]_{q_last}, centered; delta = t * u.
-          const u64 u = ctx_.mod(last).mul(clast[idx], lvl.t_inv_mod_qlast);
-          u64 delta = m.mul(t_mod, u % m.value());
-          if (u > qlast_half) delta = m.sub(delta, t_qlast_mod);
-          // c' = (c - delta) / q_last.
-          ci[idx] = m.mul(m.sub(ci[idx], delta), lvl.qlast_inv[i]);
-        }
-      }
+    for (std::size_t cur = from; cur > level + 1; --cur) {
+      for (std::size_t i = level; i + 1 < cur; ++i) drop(part, cur, i);
+    }
+  }
+  parallel_for(parts * level, [&](std::size_t k) {
+    RnsPoly& part = a.parts[k / level];
+    const std::size_t i = k % level;
+    for (std::size_t cur = from; cur > level; --cur) drop(part, cur, i);
+    ctx_.ntt(i).forward(part.rns(i), kern);
+  });
+  counters.bump(counters.ntt_forward, parts * level);
+  for (auto& part : a.parts) {
+    for (std::size_t cur = from; cur > level; --cur) {
       part.drop_last_component();
     }
-    part.to_ntt();
   }
   // One estimator step per dropped prime; the tape deliberately records
   // nothing (the parameter-search replay schedules its own switches).
   const NoiseEstimator est(params_);
-  for (std::size_t cur = a.level; cur > level; --cur) {
+  for (std::size_t cur = from; cur > level; --cur) {
     a.noise_bits = est.mod_switch(a.noise_bits, a.size());
   }
   a.level = level;

@@ -24,10 +24,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "fhe/poly.hpp"
+#include "kernels/backend.hpp"
 
 namespace poe::fhe {
 
@@ -70,16 +70,43 @@ struct Ciphertext {
   std::size_t size() const { return parts.size(); }
 };
 
-/// A key-switching key: for each RNS prime j and digit d, a pair
-/// (b, a) with b = -(a s) + t e + B^d q~_j target. Switches a ciphertext
-/// component known to multiply `target` onto the secret s. Generated at the
-/// top level; restricts to any lower level (the RNS idempotent q~_j has the
+/// A key-switching key: for each RNS prime j and digit d, a pair (b, a)
+/// with b = -(a s) + t e + B^d q~_j target. Switches a ciphertext component
+/// known to multiply `target` onto the secret s. Generated at the top level;
+/// restricts to any lower level (the RNS idempotent q~_j has the
 /// level-independent image delta_ij).
-struct KswKey {
-  struct DigitKey {
-    RnsPoly b, a;  // top level, NTT form
-  };
-  std::vector<std::vector<DigitKey>> digits;  // [prime][digit]
+///
+/// Layout: the (j, d) pairs are flattened prime-major into one digit-key
+/// index w (the order Bgv's digit decomposition produces), so a level-L
+/// switch uses exactly the prefix w < nd(L). Each RNS component i is ONE
+/// contiguous, 64-byte-aligned slab laid out
+///   [coefficient group idx / 8][w][b | a][8 coefficients]
+/// (kernels::ksw_key_offset), so the key inner product reads the keys as
+/// one forward stream instead of 2 nd(L) rows advancing in step. The slabs
+/// come from the context's BufferPool, like every polynomial's; the key is
+/// move-only, since there is never a reason to hold a second copy.
+class KswKey {
+ public:
+  KswKey() = default;
+  /// Uninitialised slabs for `num_keys` digit keys over `components` RNS
+  /// components of an n-coefficient ring.
+  KswKey(BufferPool& pool, std::size_t components, std::size_t num_keys,
+         std::size_t n);
+
+  /// Digit keys held (nd at the top level).
+  std::size_t num_keys() const { return num_keys_; }
+  /// Words between consecutive coefficient groups of one slab.
+  std::size_t group_stride() const {
+    return 2 * kernels::kKswLanes * num_keys_;
+  }
+  const std::uint64_t* component(std::size_t i) const {
+    return slabs_[i].data();
+  }
+  std::uint64_t* component(std::size_t i) { return slabs_[i].data(); }
+
+ private:
+  std::size_t num_keys_ = 0;
+  std::vector<PolyBuffer> slabs_;  ///< one per RNS component
 };
 
 /// Rotation keys: column-rotation step -> key for tau_{3^step}(s); step -1
@@ -100,10 +127,9 @@ struct GaloisKeys {
 /// only permutes the already-NTT digits and closes the key inner product.
 struct HoistedCt {
   RnsPoly c0;                   ///< NTT form, at `level`
-  std::vector<RnsPoly> digits;  ///< NTT form, flattened over (prime, digit)
-  /// digit_of[w] = (prime j, digit d) identifying digits[w] and the matching
-  /// key-switching key entry.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> digit_of;
+  /// NTT form, flattened over (prime, digit) in KswKey's digit-key order:
+  /// digits[w] pairs with key w.
+  std::vector<RnsPoly> digits;
   std::size_t level = 0;
   double noise_bits = 0.0;     ///< carried over from the hoisted ciphertext
   std::int32_t trace_id = -1;  ///< carried over (profile recording)
@@ -277,7 +303,10 @@ class Bgv {
   /// t * fresh-noise polynomial in NTT form at the top level.
   RnsPoly sample_t_noise() const;
   /// Key-switching key for an arbitrary target polynomial (NTT, top level).
-  KswKey make_ksw_key(const RnsPoly& target_ntt) const;
+  /// A non-empty `perm` stores every key component permuted, slot idx
+  /// holding the value of slot perm[idx] (make_galois_key's tau^-1).
+  KswKey make_ksw_key(const RnsPoly& target_ntt,
+                      std::span<const std::uint32_t> perm = {}) const;
   /// `s_coeff` is the secret in coefficient form (callers generating many
   /// keys convert it once).
   KswKey make_galois_key(std::uint64_t galois_element,
@@ -289,11 +318,10 @@ class Bgv {
   void apply_ksw(Ciphertext& ct, const RnsPoly& input_coeff,
                  const KswKey& key) const;
   /// Digit decomposition of `input_coeff`: digits[w] is the w-th digit
-  /// polynomial lifted to all active primes and forward-transformed;
-  /// which[w] = (prime, digit) names the matching key entry.
-  void decompose(const RnsPoly& input_coeff, std::vector<RnsPoly>& digits,
-                 std::vector<std::pair<std::uint32_t, std::uint32_t>>& which)
-      const;
+  /// polynomial (prime-major over (prime, digit), KswKey's order) lifted to
+  /// all active primes and forward-transformed.
+  void decompose(const RnsPoly& input_coeff,
+                 std::vector<RnsPoly>& digits) const;
   /// The key inner product: out0/out1 (+)= sum_w digits[w] * key_w.b/.a,
   /// accumulated lazily in 128 bits (one Barrett reduction per slot instead
   /// of per digit) and parallelised over RNS components. `acc0`/`acc1`
@@ -301,11 +329,9 @@ class Bgv {
   /// the destination, so reshaped-uninitialised scratch is a valid
   /// target). Rotations need no digit permutation here: galois keys are
   /// stored tau^-1-permuted (make_galois_key).
-  void ksw_accumulate(
-      RnsPoly& out0, RnsPoly& out1, std::size_t level,
-      std::span<const RnsPoly> digits,
-      std::span<const std::pair<std::uint32_t, std::uint32_t>> which,
-      const KswKey& key, bool acc0, bool acc1) const;
+  void ksw_accumulate(RnsPoly& out0, RnsPoly& out1, std::size_t level,
+                      std::span<const RnsPoly> digits, const KswKey& key,
+                      bool acc0, bool acc1) const;
 
   /// Reusable rotation scratch, leased (never shared) per use; the bank
   /// grows to the peak number of live leases and then stops touching the

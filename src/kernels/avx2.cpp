@@ -26,7 +26,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <vector>
 
 #include "kernels/backend.hpp"
 
@@ -259,32 +258,12 @@ class Avx2Backend final : public Backend {
   }
 
   void ksw_accumulate(u64* dst0, u64* dst1, const u64* const* dig,
-                      const u64* const* kb, const u64* const* ka,
-                      std::size_t nd, std::size_t n, const std::uint32_t* perm,
-                      const mod::Modulus& m, bool seed0,
+                      const u64* key, std::size_t stride, std::size_t nd,
+                      std::size_t n, const mod::Modulus& m, bool seed0,
                       bool seed1) const override {
-    // Hoisted rotations permute the digit reads. Per-lane gathers turned
-    // out to cost the entire vector win on real silicon, so the shared
-    // permutation is materialized once per digit row into a reusable
-    // scratch slab and the inner product always runs contiguous. Reads
-    // and the flush schedule are unchanged, so outputs stay bit-identical.
-    if (perm != nullptr) {
-      static thread_local std::vector<u64> scratch;
-      static thread_local std::vector<const u64*> rows;
-      scratch.resize(nd * n);
-      rows.resize(nd);
-      for (std::size_t w = 0; w < nd; ++w) {
-        u64* dst = scratch.data() + w * n;
-        const u64* src = dig[w];
-        for (std::size_t i = 0; i < n; ++i) dst[i] = src[perm[i]];
-        rows[w] = dst;
-      }
-      ksw_accumulate(dst0, dst1, rows.data(), kb, ka, nd, n, nullptr, m,
-                     seed0, seed1);
-      return;
-    }
     // Same flush interval as the scalar backend — the schedule is uniform
-    // across slots, so one counter covers all four lanes.
+    // across slots, so one counter covers all four lanes. Each key group
+    // (kKswLanes = 8 coefficients) is read as two 4-lane halves.
     const u128 term_max = static_cast<u128>(m.value() - 1) * (m.value() - 1);
     const std::size_t flush = std::max<std::size_t>(
         1, static_cast<std::size_t>(
@@ -296,13 +275,14 @@ class Avx2Backend final : public Backend {
     for (; idx + 4 <= n; idx += 4) {
       __m256i acc0_lo = seed0 ? load4(dst0 + idx) : zero, acc0_hi = zero;
       __m256i acc1_lo = seed1 ? load4(dst1 + idx) : zero, acc1_hi = zero;
+      const u64* kw = key + ksw_key_offset(idx, 0, stride);
       std::size_t since = 0;
-      for (std::size_t w = 0; w < nd; ++w) {
+      for (std::size_t w = 0; w < nd; ++w, kw += 2 * kKswLanes) {
         const __m256i v = load4(dig[w] + idx);
         __m256i phi, plo;
-        mul_epu64_full(v, load4(kb[w] + idx), phi, plo);
+        mul_epu64_full(v, load4(kw), phi, plo);
         acc128_add(acc0_lo, acc0_hi, plo, phi);
-        mul_epu64_full(v, load4(ka[w] + idx), phi, plo);
+        mul_epu64_full(v, load4(kw + kKswLanes), phi, plo);
         acc128_add(acc1_lo, acc1_hi, plo, phi);
         if (++since == flush) {
           acc0_lo = rv.reduce(acc0_lo, acc0_hi);
@@ -317,11 +297,12 @@ class Avx2Backend final : public Backend {
     for (; idx < n; ++idx) {  // scalar tail, same schedule
       u128 acc0 = seed0 ? dst0[idx] : 0;
       u128 acc1 = seed1 ? dst1[idx] : 0;
+      const u64* kw = key + ksw_key_offset(idx, 0, stride);
       std::size_t since = 0;
-      for (std::size_t w = 0; w < nd; ++w) {
+      for (std::size_t w = 0; w < nd; ++w, kw += 2 * kKswLanes) {
         const u128 v = dig[w][idx];
-        acc0 += v * kb[w][idx];
-        acc1 += v * ka[w][idx];
+        acc0 += v * kw[0];
+        acc1 += v * kw[kKswLanes];
         if (++since == flush) {
           acc0 = m.reduce128_barrett(acc0);
           acc1 = m.reduce128_barrett(acc1);

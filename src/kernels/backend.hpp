@@ -2,9 +2,9 @@
 //
 // Every inner loop that touches RNS coefficients — the negacyclic NTT
 // butterflies, the Barrett pointwise family, the lazy 128-bit key-switch
-// inner product with its Barrett flush, and the NTT-domain automorphism
-// permutation — lives behind this interface, in the style of ngraph's
-// runtime/{reference,...} backend split:
+// inner product over an interleaved key slab with its Barrett flush, and
+// the NTT-domain automorphism permutation — lives behind this interface, in
+// the style of ngraph's runtime/{reference,...} backend split:
 //
 //   ScalarBackend  — the original hand-written loops, moved here verbatim;
 //                    the bit-exact reference every other backend must match.
@@ -52,6 +52,17 @@ struct NttTables {
 inline std::uint64_t shoup_precompute(std::uint64_t w, std::uint64_t q) {
   return static_cast<std::uint64_t>(
       (static_cast<unsigned __int128>(w) << 64) / q);
+}
+
+/// Coefficients per group of a key-switch key slab (one AVX-512 vector).
+inline constexpr std::size_t kKswLanes = 8;
+
+/// Word offset of key w's b coefficient i in a key-switch key slab whose
+/// groups are `stride` words apart, laid out
+/// [group i / kKswLanes][key w][b | a][kKswLanes coefficients].
+inline std::size_t ksw_key_offset(std::size_t i, std::size_t w,
+                                  std::size_t stride) {
+  return (i / kKswLanes) * stride + 2 * kKswLanes * w + i % kKswLanes;
 }
 
 class Backend {
@@ -108,22 +119,25 @@ class Backend {
                          const mod::Modulus& m) const = 0;
 
   /// Lazy 128-bit key-switch inner product over one RNS component:
-  ///   dst0[i] = reduce128(seed0[i] + sum_w dig[w][perm?[i]] * kb[w][i])
-  ///   dst1[i] = reduce128(seed1[i] + sum_w dig[w][perm?[i]] * ka[w][i])
+  ///   dst0[i] = reduce128(seed0[i] + sum_{w<nd} dig[w][i] * b_w[i])
+  ///   dst1[i] = reduce128(seed1[i] + sum_{w<nd} dig[w][i] * a_w[i])
   /// where seedX[i] is dst[i] when accX is true (accumulate mode) and zero
   /// when accX is false (overwrite mode — dst may hold uninitialised words
-  /// and is never read). perm == nullptr means the identity (plain
-  /// relinearisation/ksw); otherwise it is the Galois NTT-slot permutation
-  /// fused into the accumulate (hoisted rotations). Accumulators are flushed
-  /// with the wide Barrett reduction before they can wrap — the flush
-  /// schedule is an implementation detail; outputs are exact residues either
-  /// way, so accumulate(dst=c) == add(c, overwrite()) bit-for-bit.
+  /// and is never read). The key pairs come from ONE coefficient-interleaved
+  /// slab (fhe::KswKey): b_w[i] sits at key[ksw_key_offset(i, w, stride)]
+  /// and a_w[i] kKswLanes words after it, so the inner product reads the
+  /// keys as one forward stream — the first nd pairs of each group of
+  /// kKswLanes coefficients, groups `stride` words apart. The slab holds
+  /// ceil(n / kKswLanes) groups; lanes past n in the last group are never
+  /// read. Accumulators are flushed with the wide Barrett reduction before
+  /// they can wrap — the flush schedule is an implementation detail;
+  /// outputs are exact residues either way, so accumulate(dst=c) ==
+  /// add(c, overwrite()) bit-for-bit. Every backend runs the same products
+  /// in the same order with the same flush schedule.
   virtual void ksw_accumulate(std::uint64_t* dst0, std::uint64_t* dst1,
                               const std::uint64_t* const* dig,
-                              const std::uint64_t* const* kb,
-                              const std::uint64_t* const* ka,
+                              const std::uint64_t* key, std::size_t stride,
                               std::size_t num_digits, std::size_t n,
-                              const std::uint32_t* perm,
                               const mod::Modulus& m, bool acc0 = true,
                               bool acc1 = true) const = 0;
 

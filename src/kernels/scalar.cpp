@@ -70,9 +70,8 @@ class ScalarBackend final : public Backend {
   }
 
   void ksw_accumulate(u64* dst0, u64* dst1, const u64* const* dig,
-                      const u64* const* kb, const u64* const* ka,
-                      std::size_t nd, std::size_t n, const std::uint32_t* perm,
-                      const mod::Modulus& m, bool seed0,
+                      const u64* key, std::size_t stride, std::size_t nd,
+                      std::size_t n, const mod::Modulus& m, bool seed0,
                       bool seed1) const override {
     // Lazy accumulation: sum the raw 128-bit digit*key products and Barrett-
     // reduce once per slot instead of once per digit. The flush interval
@@ -84,14 +83,14 @@ class ScalarBackend final : public Backend {
                std::min<u128>(~static_cast<u128>(0) / term_max - 1,
                               ~std::size_t{0})));
     for (std::size_t idx = 0; idx < n; ++idx) {
-      const std::size_t src = perm != nullptr ? perm[idx] : idx;
       u128 acc0 = seed0 ? dst0[idx] : 0;  // overwrite mode never reads dst
       u128 acc1 = seed1 ? dst1[idx] : 0;
+      const u64* kw = key + ksw_key_offset(idx, 0, stride);
       std::size_t since = 0;
-      for (std::size_t w = 0; w < nd; ++w) {
-        const u128 v = dig[w][src];
-        acc0 += v * kb[w][idx];
-        acc1 += v * ka[w][idx];
+      for (std::size_t w = 0; w < nd; ++w, kw += 2 * kKswLanes) {
+        const u128 v = dig[w][idx];
+        acc0 += v * kw[0];
+        acc1 += v * kw[kKswLanes];
         if (++since == flush) {
           acc0 = m.reduce128_barrett(acc0);
           acc1 = m.reduce128_barrett(acc1);

@@ -616,6 +616,66 @@ TEST(FusedAffineDifferential, MatchesPerDiagonalOnEveryBackendAndLevel) {
   }
 }
 
+// ------------------------------------------------- golden evaluate output
+
+namespace {
+// FNV-1a over the level, the part count and every residue word.
+u64 ciphertext_hash(const fhe::Ciphertext& ct) {
+  u64 h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](u64 word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((word >> (8 * byte)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  mix(ct.level);
+  mix(ct.parts.size());
+  for (const auto& part : ct.parts) {
+    for (std::size_t i = 0; i < ct.level; ++i) {
+      for (const u64 word : part.rns(i)) mix(word);
+    }
+  }
+  return h;
+}
+}  // namespace
+
+// One full batch under batched_test(), with the evaluator key, rotation
+// keys, PASTA key, nonces and messages all fixed by seeds: the hash of the
+// evaluate() output pins every residue of the circuit (key layout, kernel
+// inner products, mod switches), so a change that alters one word fails
+// here even when the output still decrypts. The value was recorded from the
+// row-form key layout that preceded the interleaved key slabs. Each backend
+// runs in a fresh ExecContext; the thread counts come from ctest, which
+// runs this test at POE_THREADS=1, 2 and 4 (GoldenEvaluate.Threads*).
+TEST(GoldenEvaluate, BatchedOutputHashIsPinnedOnEveryBackend) {
+  constexpr u64 kGoldenHash = 0x44c7a8fb291bc8afull;
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    fhe::Bgv bgv(config.bgv, &exec);
+    fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t, &exec);
+    fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
+    const hhe::SimdBatchEngine engine(
+        config, bgv, hhe::SimdBatchEngine::make_shared_rotation_keys(config, bgv));
+
+    Xoshiro256 rng(20251019);
+    const auto key = pasta::PastaCipher::random_key(config.pasta, rng);
+    const auto key_ct =
+        hhe::encrypt_key_batched(config, bgv, encoder, layout, key);
+    std::vector<hhe::SimdBlockRequest> blocks(engine.capacity());
+    for (std::size_t m = 0; m < blocks.size(); ++m) {
+      blocks[m] = {.nonce = 1000 + m % 3,
+                   .counter = m,
+                   .symmetric_ct =
+                       random_msg(rng, config.pasta.p, config.pasta.t)};
+    }
+    const fhe::Ciphertext out =
+        engine.evaluate(key_ct, engine.prepare(blocks));
+    EXPECT_EQ(ciphertext_hash(out), kGoldenHash)
+        << "0x" << std::hex << ciphertext_hash(out);
+  }
+}
+
 // ------------------------------------------------- service == direct path
 
 TEST(ServiceDifferential, ServiceAgreesWithCoefficientWiseServer) {

@@ -248,14 +248,62 @@ TEST(KernelReduce128, SimdMatchesSlowPathSweep) {
   }
 }
 
+/// Key rows interleaved into a key-switch key slab of `total` >= kb.size()
+/// keys (ksw_key_offset layout), sized for ceil(n / kKswLanes) groups. With
+/// `perm`, slot j holds row slot perm^-1(j) — the tau^-1 pre-permutation of
+/// a Galois key. Keys past kb.size() and lanes past n hold garbage that a
+/// correct kernel never reads into a result.
+std::vector<u64> key_slab(const std::vector<std::vector<u64>>& kb,
+                          const std::vector<std::vector<u64>>& ka,
+                          std::size_t n, std::size_t total, const u32* perm,
+                          Xoshiro256& rng) {
+  const std::size_t stride = 2 * kKswLanes * total;
+  std::vector<u64> slab(stride * ((n + kKswLanes - 1) / kKswLanes));
+  for (auto& x : slab) x = rng.next();
+  for (std::size_t w = 0; w < kb.size(); ++w) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j = perm != nullptr ? perm[i] : i;
+      slab[ksw_key_offset(j, w, stride)] = kb[w][i];
+      slab[ksw_key_offset(j, w, stride) + kKswLanes] = ka[w][i];
+    }
+  }
+  return slab;
+}
+
+/// The two ways the library drives the kernel: a plain key switch
+/// (perm == nullptr), and a rotation, whose key slab is stored
+/// perm^-1-permuted (key_slab) and whose outputs are permuted once
+/// afterwards — together equal to pairing digit slot perm[i] with key slot
+/// i. Seeds in d0/d1 are taken in output order, as the naive sum sees them.
+void run_ksw(const Backend& b, std::vector<u64>& d0, std::vector<u64>& d1,
+             const std::vector<const u64*>& dig, const std::vector<u64>& slab,
+             std::size_t total, std::size_t n, const u32* perm,
+             const Modulus& m, bool acc0, bool acc1) {
+  const std::size_t stride = 2 * kKswLanes * total;
+  if (perm == nullptr) {
+    b.ksw_accumulate(d0.data(), d1.data(), dig.data(), slab.data(), stride,
+                     dig.size(), n, m, acc0, acc1);
+    return;
+  }
+  std::vector<u64> x0(n), x1(n);
+  for (std::size_t i = 0; i < n; ++i) x0[perm[i]] = d0[i], x1[perm[i]] = d1[i];
+  b.ksw_accumulate(x0.data(), x1.data(), dig.data(), slab.data(), stride,
+                   dig.size(), n, m, acc0, acc1);
+  b.permute(d0.data(), x0.data(), perm, n);
+  b.permute(d1.data(), x1.data(), perm, n);
+}
+
 TEST(KernelKsw, AccumulateMatchesNaiveWithAndWithoutPerm) {
   Xoshiro256 rng(105);
   for (const u64 q : test_moduli(256)) {
     const Modulus m(q);
+    // n = 60 leaves a half-filled last group; nd < total reads a prefix of
+    // every group, as a key switch below the top level does.
     for (const std::size_t n : {8u, 60u, 256u}) {
       for (const std::size_t nd : {1u, 5u, 22u}) {
+        const std::size_t total = nd + 3;
         std::vector<std::vector<u64>> dig(nd), kb(nd), ka(nd);
-        std::vector<const u64*> dig_p(nd), kb_p(nd), ka_p(nd);
+        std::vector<const u64*> dig_p(nd);
         for (std::size_t w = 0; w < nd; ++w) {
           dig[w].resize(n), kb[w].resize(n), ka[w].resize(n);
           for (std::size_t i = 0; i < n; ++i) {
@@ -265,8 +313,7 @@ TEST(KernelKsw, AccumulateMatchesNaiveWithAndWithoutPerm) {
             kb[w][i] = w == 0 ? q - 1 : rng.below(q);
             ka[w][i] = rng.below(q);
           }
-          dig_p[w] = dig[w].data(), kb_p[w] = kb[w].data(),
-          ka_p[w] = ka[w].data();
+          dig_p[w] = dig[w].data();
         }
         std::vector<u32> perm(n);
         std::iota(perm.begin(), perm.end(), 0u);
@@ -291,10 +338,10 @@ TEST(KernelKsw, AccumulateMatchesNaiveWithAndWithoutPerm) {
                   (u128{want1[i]} + u128{dig[w][j]} * ka[w][i]) % q);
             }
           }
+          const std::vector<u64> slab = key_slab(kb, ka, n, total, p, rng);
           for (const Backend* b : available_backends()) {
             std::vector<u64> d0 = init0, d1 = init1;
-            b->ksw_accumulate(d0.data(), d1.data(), dig_p.data(),
-                              kb_p.data(), ka_p.data(), nd, n, p, m);
+            run_ksw(*b, d0, d1, dig_p, slab, total, n, p, m, true, true);
             ASSERT_EQ(d0, want0) << b->name() << " q=" << q << " n=" << n
                                  << " nd=" << nd << " perm=" << (p != nullptr);
             ASSERT_EQ(d1, want1) << b->name() << " q=" << q << " n=" << n
@@ -313,9 +360,9 @@ TEST(KernelKsw, OverwriteModeIgnoresDestinationGarbage) {
   Xoshiro256 rng(107);
   for (const u64 q : test_moduli(64)) {
     const Modulus m(q);
-    const std::size_t n = 256, nd = 5;
+    const std::size_t n = 256, nd = 5, total = 7;
     std::vector<std::vector<u64>> dig(nd), kb(nd), ka(nd);
-    std::vector<const u64*> dig_p(nd), kb_p(nd), ka_p(nd);
+    std::vector<const u64*> dig_p(nd);
     for (std::size_t w = 0; w < nd; ++w) {
       dig[w].resize(n), kb[w].resize(n), ka[w].resize(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -323,8 +370,7 @@ TEST(KernelKsw, OverwriteModeIgnoresDestinationGarbage) {
         kb[w][i] = rng.below(q);
         ka[w][i] = rng.below(q);
       }
-      dig_p[w] = dig[w].data(), kb_p[w] = kb[w].data(),
-      ka_p[w] = ka[w].data();
+      dig_p[w] = dig[w].data();
     }
     std::vector<u32> perm(n);
     std::iota(perm.begin(), perm.end(), 0u);
@@ -353,14 +399,14 @@ TEST(KernelKsw, OverwriteModeIgnoresDestinationGarbage) {
         }
         return want;
       };
+      const std::vector<u64> slab = key_slab(kb, ka, n, total, p, rng);
       for (const Backend* b : available_backends()) {
         // Full overwrite: both lanes start as garbage, both must come out
         // as if seeded with zero.
         std::vector<u64> d0(n), d1(n);
         for (std::size_t i = 0; i < n; ++i) d0[i] = rng.next(), d1[i] = rng.next();
-        b->ksw_accumulate(d0.data(), d1.data(), dig_p.data(), kb_p.data(),
-                          ka_p.data(), nd, n, p, m, /*acc0=*/false,
-                          /*acc1=*/false);
+        run_ksw(*b, d0, d1, dig_p, slab, total, n, p, m, /*acc0=*/false,
+                /*acc1=*/false);
         ASSERT_EQ(d0, want_lane(kb, nullptr))
             << b->name() << " q=" << q << " perm=" << (p != nullptr);
         ASSERT_EQ(d1, want_lane(ka, nullptr))
@@ -370,9 +416,8 @@ TEST(KernelKsw, OverwriteModeIgnoresDestinationGarbage) {
         // overwritten (the apply_galois/ingest shape).
         d0 = seed0;
         for (std::size_t i = 0; i < n; ++i) d1[i] = rng.next();
-        b->ksw_accumulate(d0.data(), d1.data(), dig_p.data(), kb_p.data(),
-                          ka_p.data(), nd, n, p, m, /*acc0=*/true,
-                          /*acc1=*/false);
+        run_ksw(*b, d0, d1, dig_p, slab, total, n, p, m, /*acc0=*/true,
+                /*acc1=*/false);
         ASSERT_EQ(d0, want_lane(kb, &seed0))
             << b->name() << " q=" << q << " perm=" << (p != nullptr);
         ASSERT_EQ(d1, want_lane(ka, nullptr))

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -22,7 +23,18 @@ double seconds_since(Clock::time_point t0) {
 
 constexpr std::uint32_t kSessionMagic = 0x31534553;  // "SES1"
 constexpr std::uint16_t kSessionVersion = 1;
+
+// Longest single retry sleep: 64 attempts then wait at most about 3 s.
+constexpr double kMaxBackoffS = 0.05;
 }  // namespace
+
+double retry_backoff_s(double base_s, std::size_t attempt) {
+  POE_ENSURE(attempt >= 2, "no backoff before the first attempt");
+  // Exact up to attempt 64, the largest max_stage_attempts allows.
+  const auto doublings = std::min<std::size_t>(attempt - 2, 62);
+  return std::min(kMaxBackoffS,
+                  std::ldexp(base_s, static_cast<int>(doublings)));
+}
 
 std::vector<std::uint8_t> serialize_session_state(const SessionState& state) {
   WireWriter w;
@@ -99,7 +111,8 @@ TranscipherService::TranscipherService(
   POE_ENSURE(service_config_.max_sessions >= 1, "need at least one session");
   POE_ENSURE(service_config_.max_stage_attempts >= 1,
              "need at least one stage attempt");
-  // The backoff before attempt k shifts by k - 2: keep it below 64.
+  // With each sleep capped (retry_backoff_s), 64 attempts bound a failing
+  // stage's total backoff to about 3 s.
   POE_ENSURE(service_config_.max_stage_attempts <= 64,
              "max_stage_attempts " << service_config_.max_stage_attempts
                                    << " exceeds 64");
@@ -281,7 +294,7 @@ bool run_stage(const ServiceConfig& cfg, ExecContext& exec,
     if (attempt > 1) {
       ++out.retries;
       std::this_thread::sleep_for(std::chrono::duration<double>(
-          cfg.backoff_base_s * static_cast<double>(1ull << (attempt - 2))));
+          retry_backoff_s(cfg.backoff_base_s, attempt)));
     }
     const auto t0 = Clock::now();
     try {

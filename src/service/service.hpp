@@ -78,9 +78,15 @@ struct ServiceConfig {
   /// time plus any injected virtual stall — counts as a timeout and is
   /// retried; exhausted attempts degrade the batch to kTimedOut. 0 = off.
   double stage_timeout_s = 0;
-  /// Exponential backoff before retry k sleeps backoff_base_s * 2^(k-1).
+  /// Exponential backoff: before attempt k (k >= 2) a stage sleeps
+  /// backoff_base_s * 2^(k-2), capped per sleep (retry_backoff_s).
   double backoff_base_s = 0.0005;
 };
+
+/// The sleep before stage attempt `attempt` (>= 2): base_s * 2^(attempt-2),
+/// capped at 50 ms so a long attempt bound cannot turn into hours of
+/// waiting. Nondecreasing in `attempt`.
+double retry_backoff_s(double base_s, std::size_t attempt);
 
 /// One client request: transcipher a whole PASTA-encrypted message.
 struct TranscipherRequest {

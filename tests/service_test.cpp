@@ -447,9 +447,34 @@ TEST(TranscipherServiceTest, MultiBlockRequestShedsWhole) {
   EXPECT_EQ(decode_all(results[2]), two);
 }
 
+TEST(TranscipherServiceTest, RetryBackoffDoublesUpToItsCap) {
+  // Exact doubling while below the cap: base * 2^(k-2) before attempt k.
+  EXPECT_EQ(retry_backoff_s(0.0005, 2), 0.0005);
+  EXPECT_EQ(retry_backoff_s(0.0005, 3), 0.001);
+  EXPECT_EQ(retry_backoff_s(0.0005, 7), 0.0005 * 32);
+  EXPECT_EQ(retry_backoff_s(1e-4, 10), 1e-4 * 256);
+  // Capped above it, however many attempts the config allows.
+  const double cap = retry_backoff_s(0.0005, 64);
+  EXPECT_GT(cap, 0.0005 * 32);
+  EXPECT_LE(cap, 0.1);
+  EXPECT_EQ(retry_backoff_s(0.0005, 30), cap);
+  EXPECT_EQ(retry_backoff_s(1.0, 2), cap);
+  // Monotone, so the whole 64-attempt wait stays under 64 caps.
+  for (const double base : {1e-6, 1e-4, 0.0005, 0.01, 1.0}) {
+    double total = 0;
+    for (std::size_t k = 3; k <= 64; ++k) {
+      EXPECT_GE(retry_backoff_s(base, k), retry_backoff_s(base, k - 1))
+          << "base " << base << " attempt " << k;
+      total += retry_backoff_s(base, k);
+    }
+    EXPECT_LE(total, 63 * cap) << "base " << base;
+  }
+  EXPECT_THROW(retry_backoff_s(0.0005, 1), poe::Error);
+}
+
 TEST(TranscipherServiceTest, StageAttemptsAreBounded) {
-  // The retry backoff doubles per attempt; past 64 attempts its shift would
-  // leave the 64-bit range, so the config is refused up front.
+  // Attempts are bounded so that, with each retry sleep capped, a failing
+  // stage's total backoff stays short; out-of-range configs are refused.
   EXPECT_NO_THROW(make_service(ServiceConfig{.max_stage_attempts = 64}));
   EXPECT_THROW(make_service(ServiceConfig{.max_stage_attempts = 65}),
                poe::Error);

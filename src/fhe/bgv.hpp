@@ -70,10 +70,10 @@ struct Ciphertext {
   std::size_t size() const { return parts.size(); }
 };
 
-/// A key-switching key: for each RNS prime j and digit d, a pair (b, a)
-/// with b = -(a s) + t e + B^d q~_j target. Switches a ciphertext component
-/// known to multiply `target` onto the secret s. Generated at the top level;
-/// restricts to any lower level (the RNS idempotent q~_j has the
+/// A key-switching key: for each RNS prime j and digit d, a pair
+/// (b, a) with b = -(a s) + t e + B^d q~_j target. Switches a ciphertext
+/// component known to multiply `target` onto the secret s. Generated at the
+/// top level; restricts to any lower level (the RNS idempotent q~_j has the
 /// level-independent image delta_ij).
 ///
 /// Layout: the (j, d) pairs are flattened prime-major into one digit-key
@@ -82,9 +82,9 @@ struct Ciphertext {
 /// contiguous, 64-byte-aligned slab laid out
 ///   [coefficient group idx / 8][w][b | a][8 coefficients]
 /// (kernels::ksw_key_offset), so the key inner product reads the keys as
-/// one forward stream instead of 2 nd(L) rows advancing in step. The slabs
-/// come from the context's BufferPool, like every polynomial's; the key is
-/// move-only, since there is never a reason to hold a second copy.
+/// one forward stream. The slabs come from the context's BufferPool, like
+/// every polynomial's; the key is move-only, since there is never a reason
+/// to hold a second copy.
 class KswKey {
  public:
   KswKey() = default;

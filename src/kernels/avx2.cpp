@@ -264,11 +264,7 @@ class Avx2Backend final : public Backend {
     // Same flush interval as the scalar backend — the schedule is uniform
     // across slots, so one counter covers all four lanes. Each key group
     // (kKswLanes = 8 coefficients) is read as two 4-lane halves.
-    const u128 term_max = static_cast<u128>(m.value() - 1) * (m.value() - 1);
-    const std::size_t flush = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::min<u128>(~static_cast<u128>(0) / term_max - 1,
-                              ~std::size_t{0})));
+    const std::size_t flush = detail::ksw_flush_interval(m);
     const Reduce128Vec rv(m);
     const __m256i zero = _mm256_setzero_si256();
     std::size_t idx = 0;
@@ -294,24 +290,8 @@ class Avx2Backend final : public Backend {
       store4(dst0 + idx, rv.reduce(acc0_lo, acc0_hi));
       store4(dst1 + idx, rv.reduce(acc1_lo, acc1_hi));
     }
-    for (; idx < n; ++idx) {  // scalar tail, same schedule
-      u128 acc0 = seed0 ? dst0[idx] : 0;
-      u128 acc1 = seed1 ? dst1[idx] : 0;
-      const u64* kw = key + ksw_key_offset(idx, 0, stride);
-      std::size_t since = 0;
-      for (std::size_t w = 0; w < nd; ++w, kw += 2 * kKswLanes) {
-        const u128 v = dig[w][idx];
-        acc0 += v * kw[0];
-        acc1 += v * kw[kKswLanes];
-        if (++since == flush) {
-          acc0 = m.reduce128_barrett(acc0);
-          acc1 = m.reduce128_barrett(acc1);
-          since = 0;
-        }
-      }
-      dst0[idx] = m.reduce128_barrett(acc0);
-      dst1[idx] = m.reduce128_barrett(acc1);
-    }
+    detail::ksw_accumulate_slots(dst0, dst1, dig, key, stride, nd, idx, n, m,
+                                 seed0, seed1);  // scalar tail, same schedule
   }
 
   void permute(u64* dst, const u64* src, const std::uint32_t* perm,

@@ -130,10 +130,9 @@ class Backend {
   /// kKswLanes coefficients, groups `stride` words apart. The slab holds
   /// ceil(n / kKswLanes) groups; lanes past n in the last group are never
   /// read. Accumulators are flushed with the wide Barrett reduction before
-  /// they can wrap — the flush schedule is an implementation detail;
-  /// outputs are exact residues either way, so accumulate(dst=c) ==
-  /// add(c, overwrite()) bit-for-bit. Every backend runs the same products
-  /// in the same order with the same flush schedule.
+  /// they can wrap, on one schedule for every backend; outputs are exact
+  /// residues either way, so accumulate(dst=c) == add(c, overwrite())
+  /// bit-for-bit.
   virtual void ksw_accumulate(std::uint64_t* dst0, std::uint64_t* dst1,
                               const std::uint64_t* const* dig,
                               const std::uint64_t* key, std::size_t stride,

@@ -6,10 +6,9 @@
 // src/fhe/bgv.cpp (the lazy 128-bit key-switch inner product). Every SIMD
 // backend is differentially tested against this one; change it only with
 // the bit-identity suite in hand.
-#include <algorithm>
-#include <vector>
 
 #include "kernels/backend.hpp"
+#include "kernels/backend_impl.hpp"
 
 namespace poe::kernels {
 
@@ -74,32 +73,9 @@ class ScalarBackend final : public Backend {
                       std::size_t n, const mod::Modulus& m, bool seed0,
                       bool seed1) const override {
     // Lazy accumulation: sum the raw 128-bit digit*key products and Barrett-
-    // reduce once per slot instead of once per digit. The flush interval
-    // keeps the accumulators below wrap-around for pathological (huge-prime,
-    // many-digit) parameter sets; for the shipped sets it never triggers.
-    const u128 term_max = static_cast<u128>(m.value() - 1) * (m.value() - 1);
-    const std::size_t flush = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::min<u128>(~static_cast<u128>(0) / term_max - 1,
-                              ~std::size_t{0})));
-    for (std::size_t idx = 0; idx < n; ++idx) {
-      u128 acc0 = seed0 ? dst0[idx] : 0;  // overwrite mode never reads dst
-      u128 acc1 = seed1 ? dst1[idx] : 0;
-      const u64* kw = key + ksw_key_offset(idx, 0, stride);
-      std::size_t since = 0;
-      for (std::size_t w = 0; w < nd; ++w, kw += 2 * kKswLanes) {
-        const u128 v = dig[w][idx];
-        acc0 += v * kw[0];
-        acc1 += v * kw[kKswLanes];
-        if (++since == flush) {
-          acc0 = m.reduce128_barrett(acc0);
-          acc1 = m.reduce128_barrett(acc1);
-          since = 0;
-        }
-      }
-      dst0[idx] = m.reduce128_barrett(acc0);
-      dst1[idx] = m.reduce128_barrett(acc1);
-    }
+    // reduce once per slot instead of once per digit.
+    detail::ksw_accumulate_slots(dst0, dst1, dig, key, stride, nd, 0, n, m,
+                                 seed0, seed1);
   }
 
   void permute(u64* dst, const u64* src, const std::uint32_t* perm,

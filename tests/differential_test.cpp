@@ -642,10 +642,10 @@ u64 ciphertext_hash(const fhe::Ciphertext& ct) {
 // keys, PASTA key, nonces and messages all fixed by seeds: the hash of the
 // evaluate() output pins every residue of the circuit (key layout, kernel
 // inner products, mod switches), so a change that alters one word fails
-// here even when the output still decrypts. The value was recorded from the
-// row-form key layout that preceded the interleaved key slabs. Each backend
-// runs in a fresh ExecContext; the thread counts come from ctest, which
-// runs this test at POE_THREADS=1, 2 and 4 (GoldenEvaluate.Threads*).
+// here even when the output still decrypts. The value was recorded with
+// row-form keys, before the interleaved key slabs. Each backend runs in a
+// fresh ExecContext; the thread counts come from ctest, which runs this
+// test at POE_THREADS=1, 2 and 4 (GoldenEvaluate.Threads*).
 TEST(GoldenEvaluate, BatchedOutputHashIsPinnedOnEveryBackend) {
   constexpr u64 kGoldenHash = 0x44c7a8fb291bc8afull;
   const hhe::HheConfig config = hhe::HheConfig::batched_test();
@@ -656,7 +656,8 @@ TEST(GoldenEvaluate, BatchedOutputHashIsPinnedOnEveryBackend) {
     fhe::BatchEncoder encoder(config.bgv.n, config.bgv.t, &exec);
     fhe::SlotLayout layout(config.bgv.n, config.bgv.t);
     const hhe::SimdBatchEngine engine(
-        config, bgv, hhe::SimdBatchEngine::make_shared_rotation_keys(config, bgv));
+        config, bgv,
+        hhe::SimdBatchEngine::make_shared_rotation_keys(config, bgv));
 
     Xoshiro256 rng(20251019);
     const auto key = pasta::PastaCipher::random_key(config.pasta, rng);

@@ -185,11 +185,7 @@ KswKey Bgv::make_ksw_key(const RnsPoly& target_ntt,
   const std::size_t top = ctx_.num_primes();
   const std::size_t n = ctx_.n();
   const unsigned dbits = params_.relin_digit_bits;
-  std::size_t num_keys = 0;
-  for (std::size_t j = 0; j < top; ++j) {
-    num_keys += digit_count(ctx_.prime(j), dbits);
-  }
-  KswKey out(ctx_.exec().pool(), top, num_keys, n);
+  KswKey out(ctx_.exec().pool(), top, num_digits(top), n);
   const std::size_t stride = out.group_stride();
   RnsPoly neg_s = s_ntt_;
   neg_s.negate_inplace();
@@ -237,237 +233,6 @@ KswKey Bgv::make_ksw_key(const RnsPoly& target_ntt,
     });
     w0 += digits;
   }
-  return out;
-}
-
-void Bgv::decompose(const RnsPoly& input_coeff,
-                    std::vector<RnsPoly>& digits) const {
-  POE_ENSURE(!input_coeff.is_ntt(), "ksw input must be in coefficient form");
-  const std::size_t level = input_coeff.level();
-  const unsigned dbits = params_.relin_digit_bits;
-  const u64 mask = (u64{1} << dbits) - 1;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> which;
-  for (std::size_t j = 0; j < level; ++j) {
-    for (unsigned d = 0; d < digit_count(ctx_.prime(j), dbits); ++d) {
-      which.emplace_back(static_cast<std::uint32_t>(j), d);
-    }
-  }
-  digits.assign(which.size(), RnsPoly{});
-  // Each digit is extracted and forward-transformed independently — this is
-  // the dominant key-switch cost (2 NTTs per prime per level), so fan it out
-  // over the thread pool. Each task writes only its own slot.
-  parallel_for(which.size(), [&](std::size_t w) {
-    const auto [j, d] = which[w];
-    const auto src = input_coeff.rns(j);
-    // Digit polynomial: ((input mod q_j) >> (d*dbits)) & mask, lifted to
-    // all active primes. The digit is < 2^dbits; when that is below every
-    // active prime (always, for the shipped parameter sets) the lift is
-    // the identity, so component 0 is computed once and copied.
-    RnsPoly dig = RnsPoly::uninit(&ctx_, level, false);
-    auto first = dig.rns(0);
-    for (std::size_t idx = 0; idx < first.size(); ++idx) {
-      first[idx] = (src[idx] >> (d * dbits)) & mask;
-    }
-    const bool first_exact = mask < ctx_.mod(0).value();
-    for (std::size_t i = 0; i < level; ++i) {
-      const auto& m = ctx_.mod(i);
-      auto dst = dig.rns(i);
-      if (mask < m.value() && first_exact) {
-        if (i > 0) std::copy(first.begin(), first.end(), dst.begin());
-      } else {
-        for (std::size_t idx = 0; idx < dst.size(); ++idx) {
-          dst[idx] = ((src[idx] >> (d * dbits)) & mask) % m.value();
-        }
-      }
-    }
-    dig.to_ntt();
-    digits[w] = std::move(dig);
-  });
-}
-
-void Bgv::ksw_accumulate(RnsPoly& out0, RnsPoly& out1, std::size_t level,
-                         std::span<const RnsPoly> digits, const KswKey& key,
-                         bool acc0, bool acc1) const {
-  const std::size_t n = ctx_.n();
-  const std::size_t nd = digits.size();
-  auto& counters = ctx_.exec().counters();
-  counters.bump(counters.key_switch);
-  POE_ENSURE(nd <= key.num_keys(), "missing ksw digits");
-  const auto& kern = ctx_.exec().kernels();
-  parallel_for(level, [&](std::size_t i) {
-    // The lazy 128-bit inner product (raw digit*key sums, one Barrett flush
-    // per slot) lives in the kernel backend; it reads the first nd keys of
-    // every group of component i's slab (all a level-`level` switch needs).
-    std::vector<const u64*> dig_ptr(nd);
-    for (std::size_t w = 0; w < nd; ++w) dig_ptr[w] = digits[w].rns(i).data();
-    kern.ksw_accumulate(out0.rns(i).data(), out1.rns(i).data(), dig_ptr.data(),
-                        key.component(i), key.group_stride(), nd, n,
-                        ctx_.mod(i), acc0, acc1);
-  });
-}
-
-void Bgv::apply_ksw(Ciphertext& ct, const RnsPoly& input_coeff,
-                    const KswKey& key) const {
-  POE_ENSURE(input_coeff.level() == ct.level, "ksw input level mismatch");
-  std::vector<RnsPoly> digits;
-  decompose(input_coeff, digits);
-  ksw_accumulate(ct.parts[0], ct.parts[1], ct.level, digits, key,
-                 /*acc0=*/true, /*acc1=*/true);
-}
-
-namespace {
-// g^-1 mod 2n (g odd, 2n a power of two, so the inverse exists). Keygen
-// only — a few Newton iterations beat carrying an extended-gcd helper.
-std::uint64_t inverse_mod_2n(std::uint64_t g, std::size_t n) {
-  const std::uint64_t mask = 2 * static_cast<std::uint64_t>(n) - 1;
-  std::uint64_t inv = g;  // correct mod 8 for odd g
-  for (int it = 0; it < 6; ++it) inv = (inv * (2 - g * inv)) & mask;
-  POE_ENSURE(((g * inv) & mask) == 1, "automorphism element not invertible");
-  return inv;
-}
-}  // namespace
-
-KswKey Bgv::make_galois_key(u64 galois_element,
-                            const RnsPoly& s_coeff) const {
-  // Key switches tau_g(s) onto s. The key is stored PRE-PERMUTED by
-  // tau_g^-1: since the eventual inner product pairs digit slot perm_g(i)
-  // with key slot i, storing k'[j] = k[perm_g^-1(j)] lets the hot path run
-  // the inner product contiguously (full SIMD width, no gathers) and apply
-  // tau_g once to the two output polys instead of to every digit row:
-  //   sum_w d_w[perm_g(i)] * k_w[i]  ==  perm_g( sum_w d_w[j] * k'_w[j] ).
-  // Slot-for-slot the same products and the same lazy-flush schedule, so
-  // rotation outputs are bit-identical to the permuted-digit formulation.
-  // The permutation is folded into the slab write (slot j reads the
-  // unpermuted key at perm_{g^-1}(j)), so no permuted copy is made.
-  RnsPoly tau_s = s_coeff.apply_automorphism(galois_element);
-  tau_s.to_ntt();
-  return make_ksw_key(
-      tau_s, ctx_.galois_ntt_perm(inverse_mod_2n(galois_element, ctx_.n())));
-}
-
-void Bgv::apply_galois_inplace(Ciphertext& a, u64 galois_element,
-                               const KswKey& key) const {
-  POE_ENSURE(a.size() == 2, "automorphism requires a 2-part ciphertext");
-  auto& counters = ctx_.exec().counters();
-  counters.bump(counters.automorphism);
-  // tau(ct) decrypts under tau(s); key-switch the c1 part back to s. tau
-  // distributes over the digit decomposition (the scale factors B^d q~_j
-  // are integers, fixed by tau), and the galois key is stored tau^-1
-  // -permuted, so the whole switch runs on the UNPERMUTED digits and tau is
-  // applied once to each finished output part (see make_galois_key).
-  RnsPoly c1 = std::move(a.parts[1]);
-  c1.from_ntt();
-  // c1's replacement is written in overwrite mode by the key switch (the
-  // decomposition sums into it with a zero seed), so skip the zero-fill.
-  a.parts[1] = RnsPoly::uninit(&ctx_, a.level, /*ntt_form=*/true);
-  std::vector<RnsPoly> digits;
-  decompose(c1, digits);
-  ksw_accumulate(a.parts[0], a.parts[1], a.level, digits, key,
-                 /*acc0=*/true, /*acc1=*/false);
-  a.parts[0] = a.parts[0].apply_automorphism_ntt(galois_element);
-  a.parts[1] = a.parts[1].apply_automorphism_ntt(galois_element);
-  a.noise_bits = NoiseEstimator(params_).rotate(a.noise_bits, a.level);
-  a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
-                           record_operand(a.trace_id), -1);
-}
-
-KswKey Bgv::make_ingest_key(const Bgv& tenant) const {
-  POE_ENSURE(tenant.ctx_.n() == ctx_.n(), "ingest requires matching rings");
-  POE_ENSURE(tenant.ctx_.num_primes() == ctx_.num_primes(),
-             "ingest requires matching RNS chains");
-  POE_ENSURE(tenant.params_.t == params_.t,
-             "ingest requires matching plaintext moduli");
-  for (std::size_t j = 0; j < ctx_.num_primes(); ++j) {
-    POE_ENSURE(tenant.ctx_.prime(j) == ctx_.prime(j),
-               "ingest requires identical RNS primes");
-  }
-  // Same ring + same primes => identical NTT tables, so the tenant's secret
-  // (NTT form, foreign context) is read span-for-span.
-  return make_ksw_key(tenant.s_ntt_);
-}
-
-Ciphertext Bgv::ingest_switch(const Ciphertext& ct,
-                              const KswKey& ingest_key) const {
-  POE_ENSURE(ct.size() == 2, "ingest switch requires a 2-part ciphertext");
-  const std::size_t level = ct.level;
-  POE_ENSURE(level >= 1 && level <= ctx_.num_primes(),
-             "ingest switch: bad level");
-  // Rebind both parts into this evaluator's context (the upload was built
-  // over the same ring by the tenant's own Bgv, so the raw RNS data carries
-  // over verbatim); then c0 stays, c1 is key-switched from the tenant's
-  // secret onto ours — the exact shape of apply_galois_inplace with the
-  // identity automorphism.
-  RnsPoly c1 = RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true);
-  Ciphertext out;
-  out.level = level;
-  out.parts.push_back(RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));
-  for (std::size_t i = 0; i < level; ++i) {
-    const auto s0 = ct.parts[0].rns(i);
-    const auto s1 = ct.parts[1].rns(i);
-    auto d0 = out.parts[0].rns(i);
-    auto d1 = c1.rns(i);
-    std::copy(s0.begin(), s0.end(), d0.begin());
-    std::copy(s1.begin(), s1.end(), d1.begin());
-  }
-  c1.from_ntt();
-  out.parts.push_back(
-      RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));  // ksw overwrites
-  std::vector<RnsPoly> digits;
-  decompose(c1, digits);
-  ksw_accumulate(out.parts[0], out.parts[1], level, digits, ingest_key,
-                 /*acc0=*/true, /*acc1=*/false);
-  out.noise_bits = NoiseEstimator(params_).relinearize(ct.noise_bits, level);
-  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kIngest),
-                             record_operand(ct.trace_id), -1);
-  return out;
-}
-
-HoistedCt Bgv::hoist(const Ciphertext& ct) const {
-  POE_ENSURE(ct.size() == 2, "hoisting requires a 2-part ciphertext");
-  HoistedCt h;
-  h.level = ct.level;
-  h.noise_bits = ct.noise_bits;
-  h.trace_id = ct.trace_id;
-  h.c0 = ct.parts[0];
-  RnsPoly c1 = ct.parts[1];
-  c1.from_ntt();
-  decompose(c1, h.digits);
-  return h;
-}
-
-Ciphertext Bgv::rotate_hoisted(const HoistedCt& hoisted, long step,
-                               const GaloisKeys& keys) const {
-  const std::size_t n = ctx_.n();
-  const long c = static_cast<long>(n / 2);
-  const long s = ((step % c) + c) % c;
-  POE_ENSURE(s != 0, "rotate_hoisted requires a nonzero step");
-  const auto it = keys.keys.find(s);
-  POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
-  const u64 g = galois_elt_for_step(n, s);
-  auto& counters = ctx_.exec().counters();
-  counters.bump(counters.automorphism);
-  counters.bump(counters.hoisted_rotation);
-  // tau distributes over the decomposition (the B^d q~_j scale factors are
-  // integers, fixed by tau), so rotating the shared NTT-form digits inside
-  // the inner product yields a valid encryption of the rotated plaintext —
-  // without a single forward NTT. The galois key is stored tau^-1-permuted
-  // (make_galois_key), which moves the permutation off the nd digit rows
-  // and onto the two finished output parts: the inner product itself runs
-  // contiguously at full SIMD width, and tau folds over c0 for free
-  // (perm(c0 + sum) == perm(c0) + perm(sum)).
-  Ciphertext out;
-  out.level = hoisted.level;
-  out.parts.resize(2);
-  out.parts[0] = hoisted.c0;
-  out.parts[1] = RnsPoly(&ctx_, hoisted.level, /*ntt_form=*/true);
-  ksw_accumulate(out.parts[0], out.parts[1], hoisted.level, hoisted.digits,
-                 it->second, /*acc0=*/true, /*acc1=*/true);
-  out.parts[0] = out.parts[0].apply_automorphism_ntt(g);
-  out.parts[1] = out.parts[1].apply_automorphism_ntt(g);
-  out.noise_bits =
-      NoiseEstimator(params_).rotate(hoisted.noise_bits, hoisted.level);
-  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
-                             record_operand(hoisted.trace_id), -1);
   return out;
 }
 
@@ -524,6 +289,286 @@ class Bgv::ScratchLease {
   HoistScratch* sc_;
 };
 
+std::size_t Bgv::num_digits(std::size_t level) const {
+  std::size_t nd = 0;
+  for (std::size_t j = 0; j < level; ++j) {
+    nd += digit_count(ctx_.prime(j), params_.relin_digit_bits);
+  }
+  return nd;
+}
+
+RnsPoly Bgv::coefficient_form(const RnsPoly& c) const {
+  POE_ENSURE(c.is_ntt(), "key-switch input must be in NTT form");
+  const std::size_t level = c.level();
+  RnsPoly out = RnsPoly::uninit(&ctx_, level, /*ntt_form=*/false);
+  const auto& kern = ctx_.exec().kernels();
+  parallel_for(level, [&](std::size_t i) {
+    const auto src = c.rns(i);
+    const auto dst = out.rns(i);
+    std::copy(src.begin(), src.end(), dst.begin());
+    ctx_.ntt(i).inverse(dst, kern);
+  });
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.ntt_inverse, level);
+  return out;
+}
+
+void Bgv::build_digits(const RnsPoly& coeff, std::size_t i,
+                       u64* const* dig) const {
+  // Digit (j, d) is ((c mod q_j) >> d*dbits) & mask. It is below 2^dbits,
+  // so reducing it mod q_i is the identity whenever the mask is below q_i
+  // (always, for the shipped parameter sets).
+  const std::size_t n = ctx_.n();
+  const unsigned dbits = params_.relin_digit_bits;
+  const u64 mask = (u64{1} << dbits) - 1;
+  const auto& m = ctx_.mod(i);
+  const bool exact = mask < m.value();
+  const auto& kern = ctx_.exec().kernels();
+  std::size_t w = 0;
+  for (std::size_t j = 0; j < coeff.level(); ++j) {
+    const u64* const src = coeff.rns(j).data();
+    const unsigned digits = digit_count(ctx_.prime(j), dbits);
+    for (unsigned d = 0; d < digits; ++d) {
+      u64* const row = dig[w++];
+      const unsigned shift = d * dbits;
+      for (std::size_t idx = 0; idx < n; ++idx) {
+        row[idx] = (src[idx] >> shift) & mask;
+      }
+      if (!exact) {
+        for (std::size_t idx = 0; idx < n; ++idx) row[idx] %= m.value();
+      }
+      ctx_.ntt(i).forward({row, n}, kern);
+    }
+  }
+}
+
+template <typename Task>
+void Bgv::switch_prime_major(const RnsPoly& c, Task&& task) const {
+  const std::size_t n = ctx_.n();
+  const std::size_t level = c.level();
+  const std::size_t nd = num_digits(level);
+  const RnsPoly coeff = coefficient_form(c);
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.ntt_forward, nd * level);
+  const std::size_t rows = num_digits(top_level()) + kSpareRows;
+  std::vector<std::optional<ScratchLease>> leases(level);
+  for (auto& lease : leases) {
+    HoistScratch& sc = *lease.emplace(*this);
+    if (sc.row.size() < rows) {
+      sc.rows = ctx_.exec().pool().acquire(rows * n, /*zero=*/false);
+      sc.row.resize(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        sc.row[r] = sc.rows.data() + r * n;
+      }
+    }
+  }
+  parallel_for(level, [&](std::size_t i) {
+    HoistScratch& sc = **leases[i];
+    build_digits(coeff, i, sc.row.data());
+    task(i, static_cast<const u64* const*>(sc.row.data()), nd,
+         sc.row[rows - kSpareRows]);
+  });
+}
+
+void Bgv::ksw_accumulate(RnsPoly& out0, RnsPoly& out1, std::size_t level,
+                         std::span<const RnsPoly> digits, const KswKey& key,
+                         bool acc0, bool acc1) const {
+  const std::size_t n = ctx_.n();
+  const std::size_t nd = digits.size();
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.key_switch);
+  POE_ENSURE(nd <= key.num_keys(), "missing ksw digits");
+  // Prime i's digit rows, gathered once on the calling thread.
+  std::vector<const u64*> dig(level * nd);
+  for (std::size_t i = 0; i < level; ++i) {
+    for (std::size_t w = 0; w < nd; ++w) {
+      dig[i * nd + w] = digits[w].rns(i).data();
+    }
+  }
+  const auto& kern = ctx_.exec().kernels();
+  parallel_for(level, [&](std::size_t i) {
+    kern.ksw_accumulate(out0.rns(i).data(), out1.rns(i).data(),
+                        dig.data() + i * nd, key.component(i),
+                        key.group_stride(), nd, n, ctx_.mod(i), acc0, acc1);
+  });
+}
+
+namespace {
+// g^-1 mod 2n (g odd, 2n a power of two, so the inverse exists). Keygen
+// only — a few Newton iterations beat carrying an extended-gcd helper.
+std::uint64_t inverse_mod_2n(std::uint64_t g, std::size_t n) {
+  const std::uint64_t mask = 2 * static_cast<std::uint64_t>(n) - 1;
+  std::uint64_t inv = g;  // correct mod 8 for odd g
+  for (int it = 0; it < 6; ++it) inv = (inv * (2 - g * inv)) & mask;
+  POE_ENSURE(((g * inv) & mask) == 1, "automorphism element not invertible");
+  return inv;
+}
+}  // namespace
+
+KswKey Bgv::make_galois_key(u64 galois_element,
+                            const RnsPoly& s_coeff) const {
+  // Key switches tau_g(s) onto s. The key is stored PRE-PERMUTED by
+  // tau_g^-1: since the eventual inner product pairs digit slot perm_g(i)
+  // with key slot i, storing k'[j] = k[perm_g^-1(j)] lets the hot path run
+  // the inner product contiguously (full SIMD width, no gathers) and apply
+  // tau_g once to the two output polys instead of to every digit row:
+  //   sum_w d_w[perm_g(i)] * k_w[i]  ==  perm_g( sum_w d_w[j] * k'_w[j] ).
+  // Slot-for-slot the same products and the same lazy-flush schedule, so
+  // rotation outputs are bit-identical to the permuted-digit formulation.
+  // The permutation is folded into the slab write (slot j reads the
+  // unpermuted key at perm_{g^-1}(j)), so no permuted copy is made.
+  RnsPoly tau_s = s_coeff.apply_automorphism(galois_element);
+  tau_s.to_ntt();
+  return make_ksw_key(
+      tau_s, ctx_.galois_ntt_perm(inverse_mod_2n(galois_element, ctx_.n())));
+}
+
+void Bgv::apply_galois_inplace(Ciphertext& a, u64 galois_element,
+                               const KswKey& key) const {
+  POE_ENSURE(a.size() == 2, "automorphism requires a 2-part ciphertext");
+  POE_ENSURE(num_digits(a.level) <= key.num_keys(), "missing ksw digits");
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.automorphism);
+  counters.bump(counters.key_switch);
+  // tau(ct) decrypts under tau(s); key-switch the c1 part back to s. tau
+  // distributes over the digit decomposition (the scale factors B^d q~_j
+  // are integers, fixed by tau), and the galois key is stored tau^-1
+  // -permuted, so the whole switch runs on the UNPERMUTED digits and tau is
+  // applied once to each finished output part (see make_galois_key): per
+  // prime, c0' = tau(c0 + sum) and c1' = tau(sum), as one fused
+  // permute(-add) out of the spare rows.
+  const std::size_t n = ctx_.n();
+  const auto perm = ctx_.galois_ntt_perm(galois_element);
+  const auto& kern = ctx_.exec().kernels();
+  RnsPoly c0 = RnsPoly::uninit(&ctx_, a.level, /*ntt_form=*/true);
+  switch_prime_major(a.parts[1], [&](std::size_t i, const u64* const* dig,
+                                     std::size_t nd, u64* spare) {
+    const auto& m = ctx_.mod(i);
+    u64* const acc0 = spare;
+    u64* const acc1 = spare + n;
+    kern.ksw_accumulate(acc0, acc1, dig, key.component(i), key.group_stride(),
+                        nd, n, m, /*acc0=*/false, /*acc1=*/false);
+    kern.permute_add(c0.rns(i).data(), a.parts[0].rns(i).data(), acc0,
+                     perm.data(), n, m);
+    kern.permute(a.parts[1].rns(i).data(), acc1, perm.data(), n);
+  });
+  a.parts[0] = std::move(c0);
+  a.noise_bits = NoiseEstimator(params_).rotate(a.noise_bits, a.level);
+  a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
+                           record_operand(a.trace_id), -1);
+}
+
+KswKey Bgv::make_ingest_key(const Bgv& tenant) const {
+  POE_ENSURE(tenant.ctx_.n() == ctx_.n(), "ingest requires matching rings");
+  POE_ENSURE(tenant.ctx_.num_primes() == ctx_.num_primes(),
+             "ingest requires matching RNS chains");
+  POE_ENSURE(tenant.params_.t == params_.t,
+             "ingest requires matching plaintext moduli");
+  for (std::size_t j = 0; j < ctx_.num_primes(); ++j) {
+    POE_ENSURE(tenant.ctx_.prime(j) == ctx_.prime(j),
+               "ingest requires identical RNS primes");
+  }
+  // Same ring + same primes => identical NTT tables, so the tenant's secret
+  // (NTT form, foreign context) is read span-for-span.
+  return make_ksw_key(tenant.s_ntt_);
+}
+
+Ciphertext Bgv::ingest_switch(const Ciphertext& ct,
+                              const KswKey& ingest_key) const {
+  POE_ENSURE(ct.size() == 2, "ingest switch requires a 2-part ciphertext");
+  const std::size_t level = ct.level;
+  POE_ENSURE(level >= 1 && level <= ctx_.num_primes(),
+             "ingest switch: bad level");
+  POE_ENSURE(num_digits(level) <= ingest_key.num_keys(), "missing ksw digits");
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.key_switch);
+  // The upload was built over the same ring by the tenant's own Bgv, so its
+  // raw RNS words carry over verbatim into this evaluator's context: c0
+  // stays, c1 is key-switched from the tenant's secret onto ours — the
+  // shape of apply_galois_inplace with the identity automorphism.
+  const std::size_t n = ctx_.n();
+  const auto& kern = ctx_.exec().kernels();
+  Ciphertext out;
+  out.level = level;
+  out.parts.push_back(RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));
+  out.parts.push_back(RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));
+  switch_prime_major(ct.parts[1], [&](std::size_t i, const u64* const* dig,
+                                      std::size_t nd, u64*) {
+    const auto src = ct.parts[0].rns(i);
+    std::copy(src.begin(), src.end(), out.parts[0].rns(i).begin());
+    kern.ksw_accumulate(out.parts[0].rns(i).data(), out.parts[1].rns(i).data(),
+                        dig, ingest_key.component(i),
+                        ingest_key.group_stride(), nd, n, ctx_.mod(i),
+                        /*acc0=*/true, /*acc1=*/false);
+  });
+  out.noise_bits = NoiseEstimator(params_).relinearize(ct.noise_bits, level);
+  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kIngest),
+                             record_operand(ct.trace_id), -1);
+  return out;
+}
+
+HoistedCt Bgv::hoist(const Ciphertext& ct) const {
+  POE_ENSURE(ct.size() == 2, "hoisting requires a 2-part ciphertext");
+  const std::size_t level = ct.level;
+  const std::size_t nd = num_digits(level);
+  HoistedCt h;
+  h.level = level;
+  h.noise_bits = ct.noise_bits;
+  h.trace_id = ct.trace_id;
+  h.c0 = ct.parts[0];
+  for (std::size_t w = 0; w < nd; ++w) {
+    h.digits.push_back(RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));
+  }
+  std::vector<u64*> dig(level * nd);  // prime i's rows at i * nd
+  for (std::size_t i = 0; i < level; ++i) {
+    for (std::size_t w = 0; w < nd; ++w) {
+      dig[i * nd + w] = h.digits[w].rns(i).data();
+    }
+  }
+  const RnsPoly coeff = coefficient_form(ct.parts[1]);
+  parallel_for(level,
+               [&](std::size_t i) { build_digits(coeff, i, &dig[i * nd]); });
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.ntt_forward, nd * level);
+  return h;
+}
+
+Ciphertext Bgv::rotate_hoisted(const HoistedCt& hoisted, long step,
+                               const GaloisKeys& keys) const {
+  const std::size_t n = ctx_.n();
+  const long c = static_cast<long>(n / 2);
+  const long s = ((step % c) + c) % c;
+  POE_ENSURE(s != 0, "rotate_hoisted requires a nonzero step");
+  const auto it = keys.keys.find(s);
+  POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << s);
+  const u64 g = galois_elt_for_step(n, s);
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.automorphism);
+  counters.bump(counters.hoisted_rotation);
+  // tau distributes over the decomposition (the B^d q~_j scale factors are
+  // integers, fixed by tau), so rotating the shared NTT-form digits inside
+  // the inner product yields a valid encryption of the rotated plaintext —
+  // without a single forward NTT. The galois key is stored tau^-1-permuted
+  // (make_galois_key), which moves the permutation off the nd digit rows
+  // and onto the two finished output parts: the inner product itself runs
+  // contiguously at full SIMD width, and tau folds over c0 for free
+  // (perm(c0 + sum) == perm(c0) + perm(sum)).
+  Ciphertext out;
+  out.level = hoisted.level;
+  out.parts.resize(2);
+  out.parts[0] = hoisted.c0;
+  out.parts[1] = RnsPoly(&ctx_, hoisted.level, /*ntt_form=*/true);
+  ksw_accumulate(out.parts[0], out.parts[1], hoisted.level, hoisted.digits,
+                 it->second, /*acc0=*/true, /*acc1=*/true);
+  out.parts[0] = out.parts[0].apply_automorphism_ntt(g);
+  out.parts[1] = out.parts[1].apply_automorphism_ntt(g);
+  out.noise_bits =
+      NoiseEstimator(params_).rotate(hoisted.noise_bits, hoisted.level);
+  out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
+                             record_operand(hoisted.trace_id), -1);
+  return out;
+}
+
 void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
                               const GaloisKeys& keys, Ciphertext& out) const {
   const std::size_t n = ctx_.n();
@@ -569,15 +614,12 @@ void Bgv::rotate_hoisted_into(const HoistedCt& hoisted, long step,
 }
 
 std::array<Ciphertext, 2> Bgv::fused_affine(
-    const Ciphertext& state, const HoistedCt& hoisted,
-    std::span<const std::array<Plaintext, 2>> diags,
+    const Ciphertext& state, std::span<const std::array<Plaintext, 2>> diags,
     const GaloisKeys& keys) const {
   POE_ENSURE(state.size() == 2, "fused_affine requires a 2-part ciphertext");
-  POE_ENSURE(hoisted.level == state.level &&
-                 hoisted.trace_id == state.trace_id,
-             "fused_affine: `hoisted` must be hoist(state)");
   const std::size_t n = ctx_.n();
   const std::size_t level = state.level;
+  const std::size_t nd = num_digits(level);
   POE_ENSURE(diags.size() <= n / 2, "more diagonals than slot columns");
 
   // Everything order-sensitive happens here, on the calling thread and in
@@ -595,15 +637,14 @@ std::array<Ciphertext, 2> Bgv::fused_affine(
     if (k != 0) {
       const auto it = keys.keys.find(static_cast<long>(k));
       POE_ENSURE(it != keys.keys.end(), "no rotation key for step " << k);
-      POE_ENSURE(hoisted.digits.size() <= it->second.num_keys(),
-                 "missing ksw digits");
+      POE_ENSURE(nd <= it->second.num_keys(), "missing ksw digits");
       rotations[k] = {&it->second,
                       ctx_.galois_ntt_perm(galois_elt_for_step(n, k)).data()};
       counters.bump(counters.automorphism);
       counters.bump(counters.hoisted_rotation);
       counters.bump(counters.key_switch);
       record_node(static_cast<std::uint8_t>(NoiseOp::kRotate),
-                  record_operand(hoisted.trace_id), -1);
+                  record_operand(state.trace_id), -1);
     }
     for (std::size_t v = 0; v < 2; ++v) {
       if (diags[k][v].coeffs.empty()) continue;
@@ -620,30 +661,15 @@ std::array<Ciphertext, 2> Bgv::fused_affine(
     out[v].parts.emplace_back(&ctx_, level, /*ntt_form=*/true);
     out[v].parts.emplace_back(&ctx_, level, /*ntt_form=*/true);
   }
-  // One scratch per prime, leased here rather than in the tasks so the
-  // scratch fault site and the bank's growth do not depend on how the
-  // pool schedules them.
-  std::vector<std::optional<ScratchLease>> leases(level);
-  for (auto& lease : leases) {
-    HoistScratch& sc = *lease.emplace(*this);
-    if (sc.rows.size() < 5 * n) {
-      sc.rows = ctx_.exec().pool().acquire(5 * n, /*zero=*/false);
-    }
-  }
-
   const auto& kern = ctx_.exec().kernels();
-  const std::size_t nd = hoisted.digits.size();
-  parallel_for(level, [&](std::size_t i) {
+  switch_prime_major(state.parts[1], [&](std::size_t i, const u64* const* dig,
+                                         std::size_t, u64* spare) {
     const auto& m = ctx_.mod(i);
-    u64* const acc0 = (**leases[i]).rows.data();
+    u64* const acc0 = spare;
     u64* const acc1 = acc0 + n;
     u64* const rot0 = acc1 + n;
     u64* const rot1 = rot0 + n;
     u64* const diag = rot1 + n;
-    std::vector<const u64*> dig_ptr(nd);
-    for (std::size_t w = 0; w < nd; ++w) {
-      dig_ptr[w] = hoisted.digits[w].rns(i).data();
-    }
     for (std::size_t k = 0; k < diags.size(); ++k) {
       const auto& pair = diags[k];
       if (pair[0].coeffs.empty() && pair[1].coeffs.empty()) continue;
@@ -653,10 +679,10 @@ std::array<Ciphertext, 2> Bgv::fused_affine(
         // rotate_hoisted_into for this prime: overwrite-mode key inner
         // product, then the closing permute(-add).
         const Rotation& r = rotations[k];
-        kern.ksw_accumulate(acc0, acc1, dig_ptr.data(), r.key->component(i),
+        kern.ksw_accumulate(acc0, acc1, dig, r.key->component(i),
                             r.key->group_stride(), nd, n, m,
                             /*acc0=*/false, /*acc1=*/false);
-        kern.permute_add(rot0, hoisted.c0.rns(i).data(), acc0, r.perm, n, m);
+        kern.permute_add(rot0, src0, acc0, r.perm, n, m);
         kern.permute(rot1, acc1, r.perm, n);
         src0 = rot0;
         src1 = rot1;
@@ -901,18 +927,31 @@ Ciphertext Bgv::multiply(const Ciphertext& a, const Ciphertext& b) const {
              "multiply requires relinearised inputs");
   auto& counters = ctx_.exec().counters();
   counters.bump(counters.ct_ct_mul);
+  const std::size_t n = ctx_.n();
   Ciphertext out;
   out.level = a.level;
-  out.parts.resize(3);
-  // (a0 b0, a0 b1 + a1 b0, a1 b1)
-  out.parts[0] = a.parts[0];
-  out.parts[0].mul_inplace(b.parts[0]);
-  RnsPoly cross = a.parts[0];
-  cross.mul_inplace(b.parts[1]);
-  cross.add_mul_inplace(a.parts[1], b.parts[0]);
-  out.parts[1] = std::move(cross);
-  out.parts[2] = a.parts[1];
-  out.parts[2].mul_inplace(b.parts[1]);
+  for (int p = 0; p < 3; ++p) {
+    out.parts.push_back(RnsPoly::uninit(&ctx_, a.level, /*ntt_form=*/true));
+  }
+  // (a0 b0, a0 b1 + a1 b0, a1 b1), one task per prime.
+  const auto& kern = ctx_.exec().kernels();
+  parallel_for(a.level, [&](std::size_t i) {
+    const auto& m = ctx_.mod(i);
+    const u64* const a0 = a.parts[0].rns(i).data();
+    const u64* const a1 = a.parts[1].rns(i).data();
+    const u64* const b0 = b.parts[0].rns(i).data();
+    const u64* const b1 = b.parts[1].rns(i).data();
+    u64* const d0 = out.parts[0].rns(i).data();
+    u64* const d1 = out.parts[1].rns(i).data();
+    u64* const d2 = out.parts[2].rns(i).data();
+    std::copy_n(a0, n, d0);
+    kern.mul(d0, b0, n, m);
+    std::copy_n(a0, n, d1);
+    kern.mul(d1, b1, n, m);
+    kern.add_mul(d1, a1, b0, n, m);
+    std::copy_n(a1, n, d2);
+    kern.mul(d2, b1, n, m);
+  });
   out.noise_bits = NoiseEstimator(params_).multiply(a.noise_bits, b.noise_bits);
   out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMultiply),
                              record_operand(a.trace_id),
@@ -931,10 +970,18 @@ Ciphertext Bgv::multiply_relin(const Ciphertext& a,
 void Bgv::relinearize_inplace(Ciphertext& a) const {
   if (a.size() == 2) return;
   POE_ENSURE(a.size() == 3, "unexpected ciphertext size");
-  RnsPoly c2 = a.parts[2];
-  c2.from_ntt();
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.key_switch);
+  // c0 += sum_w digit_w(c2) * b_w and c1 += sum_w digit_w(c2) * a_w.
+  const std::size_t n = ctx_.n();
+  const auto& kern = ctx_.exec().kernels();
+  switch_prime_major(a.parts[2], [&](std::size_t i, const u64* const* dig,
+                                     std::size_t nd, u64*) {
+    kern.ksw_accumulate(a.parts[0].rns(i).data(), a.parts[1].rns(i).data(),
+                        dig, rlk_.component(i), rlk_.group_stride(), nd, n,
+                        ctx_.mod(i), /*acc0=*/true, /*acc1=*/true);
+  });
   a.parts.pop_back();
-  apply_ksw(a, c2, rlk_);
   a.noise_bits = NoiseEstimator(params_).relinearize(a.noise_bits, a.level);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRelinearize),
                            record_operand(a.trace_id), -1);
@@ -992,12 +1039,14 @@ void Bgv::mod_switch_to(Ciphertext& a, std::size_t level) const {
     }
   };
   // Later drops read the dropped components, so those are corrected first,
-  // in drop order (empty for a one-prime switch). Every surviving (part,
-  // component) is then independent: all its drops, then its forward NTT.
-  for (auto& part : a.parts) {
-    for (std::size_t cur = from; cur > level + 1; --cur) {
-      for (std::size_t i = level; i + 1 < cur; ++i) drop(part, cur, i);
-    }
+  // in drop order (none for a one-prime switch): one parallel pass over
+  // (part, dropped component) per drop. Every surviving (part, component)
+  // is then independent: all its drops, then its forward NTT.
+  for (std::size_t cur = from; cur > level + 1; --cur) {
+    const std::size_t count = cur - 1 - level;
+    parallel_for(parts * count, [&](std::size_t k) {
+      drop(a.parts[k / count], cur, level + k % count);
+    });
   }
   parallel_for(parts * level, [&](std::size_t k) {
     RnsPoly& part = a.parts[k / level];

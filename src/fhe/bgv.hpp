@@ -122,9 +122,10 @@ struct GaloisKeys {
 /// digit decomposition of c1 (digit extraction + one forward NTT per digit)
 /// dominates rotation cost; it is also rotation-independent: the per-digit
 /// scale factors B^d q~_j are integers, hence fixed by every automorphism,
-/// so tau(c1) = sum_d tau(digit_d) * B^d q~_j for ANY tau. Decompose once
-/// with Bgv::hoist, then serve each step with Bgv::rotate_hoisted, which
-/// only permutes the already-NTT digits and closes the key inner product.
+/// so tau(c1) = sum_d tau(digit_d) * B^d q~_j for ANY tau. Bgv::hoist
+/// materialises the whole decomposition (nd x level words); the serving
+/// path never does — fused_affine builds each prime's digits where they are
+/// used — so this form is the reference its differential tests build from.
 struct HoistedCt {
   RnsPoly c0;                   ///< NTT form, at `level`
   /// NTT form, flattened over (prime, digit) in KswKey's digit-key order:
@@ -187,10 +188,10 @@ class Bgv {
 
   /// Digit-decompose a 2-part ciphertext once, so that any number of
   /// rotations of it can be served by rotate_hoisted at a fraction of the
-  /// usual cost. NOTE: a hoisted rotation is a different (equally valid)
-  /// encryption of the rotated plaintext than rotate_columns_inplace
-  /// produces — digit extraction does not commute with the automorphism's
-  /// coefficient sign flips — so compare decryptions, not ciphertext bits.
+  /// usual cost. Built from the same per-prime digit builder as every key
+  /// switch. A hoisted rotation is bit-identical to rotate_columns_inplace:
+  /// both decompose the UNROTATED c1 and apply tau once to the finished
+  /// parts (the galois key is stored tau^-1-permuted, make_galois_key).
   HoistedCt hoist(const Ciphertext& ct) const;
   /// Rotated copy from a hoisted decomposition (step != 0 mod n/2): one NTT
   /// slot permutation of c0 + a permuted key inner product over the shared
@@ -215,21 +216,23 @@ class Bgv {
   /// lease distinct scratches.
   void rotate_hoisted_into(const HoistedCt& hoisted, long step,
                            const GaloisKeys& keys, Ciphertext& out) const;
-  /// The diagonal products of one plaintext-diagonal affine layer over a
-  /// hoisted ciphertext (`hoisted` must be hoist(state)): for v = 0, 1,
+  /// The diagonal products of one plaintext-diagonal affine layer: for
+  /// v = 0, 1,
   ///   out[v] = sum_k diags[k][v] * rot_k(state)      (rot_0 = state),
   /// where an empty Plaintext is an identically-zero diagonal and is
-  /// skipped. Bit-identical to zero-seeded add_mul_inplace over
-  /// rotate_hoisted_into and from_plaintext, with the same counters, tape
-  /// nodes (one kRotate per served rotation, then one kFusedAffine per
-  /// non-empty output) and noise bounds. It runs as ONE parallel_for over
-  /// the RNS primes: task i does every rotation, diagonal encode and
-  /// product for prime i, so that prime's hoisted digits stay in cache, in
-  /// five n-word rows of a HoistScratch leased for it on the calling
-  /// thread. An output with no terms comes back with no parts; at least
-  /// one output must have a term.
+  /// skipped. Bit-identical to hoist(state), then zero-seeded add_mul_inplace
+  /// over rotate_hoisted_into and from_plaintext, with the same op counters
+  /// (the hoist's NTTs included), tape nodes (one kRotate per served
+  /// rotation, then one kFusedAffine per non-empty output) and noise
+  /// bounds. It is a prime-major key switch: after one parallel
+  /// inverse-NTT pass over state's c1, ONE parallel_for over the RNS primes
+  /// runs, for prime i, the digit build, every rotation, diagonal encode
+  /// and product, in the rows of a HoistScratch leased for it on the
+  /// calling thread — so prime i's digits are built where they are used.
+  /// An output with no terms comes back with no parts; at least one output
+  /// must have a term.
   std::array<Ciphertext, 2> fused_affine(
-      const Ciphertext& state, const HoistedCt& hoisted,
+      const Ciphertext& state,
       std::span<const std::array<Plaintext, 2>> diags,
       const GaloisKeys& keys) const;
 
@@ -313,35 +316,54 @@ class Bgv {
                          const RnsPoly& s_coeff) const;
   void apply_galois_inplace(Ciphertext& a, std::uint64_t galois_element,
                             const KswKey& key) const;
-  /// parts[0] += sum_d digit_d(input) * b_d, parts[1] += ... * a_d, with
-  /// `input` in coefficient form at the ciphertext's level.
-  void apply_ksw(Ciphertext& ct, const RnsPoly& input_coeff,
-                 const KswKey& key) const;
-  /// Digit decomposition of `input_coeff`: digits[w] is the w-th digit
-  /// polynomial (prime-major over (prime, digit), KswKey's order) lifted to
-  /// all active primes and forward-transformed.
-  void decompose(const RnsPoly& input_coeff,
-                 std::vector<RnsPoly>& digits) const;
-  /// The key inner product: out0/out1 (+)= sum_w digits[w] * key_w.b/.a,
-  /// accumulated lazily in 128 bits (one Barrett reduction per slot instead
-  /// of per digit) and parallelised over RNS components. `acc0`/`acc1`
-  /// select accumulate vs overwrite mode per output (overwrite never reads
-  /// the destination, so reshaped-uninitialised scratch is a valid
-  /// target). Rotations need no digit permutation here: galois keys are
-  /// stored tau^-1-permuted (make_galois_key).
+  /// Digits per key switch at `level`: sum over the active primes of
+  /// ceil(bits(q_j) / relin_digit_bits).
+  std::size_t num_digits(std::size_t level) const;
+  /// `c` (NTT form) copied to coefficient form: one parallel_for over its
+  /// primes, each an in-cache copy plus inverse NTT.
+  RnsPoly coefficient_form(const RnsPoly& c) const;
+  /// The per-prime digit builder: digit w of `coeff` (coefficient form; w
+  /// flattened prime-major over (prime j, digit d), KswKey's order), reduced
+  /// mod q_i and forward-transformed at prime i, into dig[w] for every
+  /// w < num_digits(coeff.level()). Reads every prime of `coeff`, writes
+  /// only the given rows, so tasks for different primes run in parallel.
+  void build_digits(const RnsPoly& coeff, std::size_t i,
+                    std::uint64_t* const* dig) const;
+  /// The prime-major key switch every switch runs on. `c` (NTT form, at
+  /// level L) is brought to coefficient form by coefficient_form; then ONE
+  /// parallel_for over the primes i < L builds all nd = num_digits(L) digits
+  /// at prime i into the rows of a HoistScratch leased for i on the calling
+  /// thread (so the fault site and the bank's growth do not depend on the
+  /// pool's schedule) and calls task(i, dig, nd, spare) while those rows
+  /// are still in cache; `spare` is kSpareRows free n-word rows. The task
+  /// may overwrite `c` itself: only its coefficient copy is read. Counts
+  /// the decomposition's NTTs; the caller counts the switch.
+  template <typename Task>
+  void switch_prime_major(const RnsPoly& c, Task&& task) const;
+  /// The key inner product of the digit-form reference (rotate_hoisted*):
+  /// out0/out1 (+)= sum_w digits[w] * key_w.b/.a, accumulated lazily in 128
+  /// bits and parallelised over RNS components. `acc0`/`acc1` select
+  /// accumulate vs overwrite mode per output (overwrite never reads the
+  /// destination, so reshaped-uninitialised scratch is a valid target).
+  /// Rotations need no digit permutation here: galois keys are stored
+  /// tau^-1-permuted (make_galois_key).
   void ksw_accumulate(RnsPoly& out0, RnsPoly& out1, std::size_t level,
                       std::span<const RnsPoly> digits, const KswKey& key,
                       bool acc0, bool acc1) const;
 
-  /// Reusable rotation scratch, leased (never shared) per use; the bank
+  /// Free rows per prime past the digits: fused_affine's two inner-product
+  /// outputs, two rotated parts and lifted diagonal.
+  static constexpr std::size_t kSpareRows = 5;
+  /// Reusable key-switch scratch, leased (never shared) per use; the bank
   /// grows to the peak number of live leases and then stops touching the
   /// pool. acc0/acc1: the overwrite-mode key-switch outputs that
   /// rotate_hoisted_into flushes into before the closing permute. rows:
-  /// fused_affine's five n-word rows for one prime (the two inner-product
-  /// outputs, the two rotated parts and the lifted diagonal).
+  /// one prime's num_digits(top) digit rows, then kSpareRows spare rows, n
+  /// words each; row[r] points at row r.
   struct HoistScratch {
     RnsPoly acc0, acc1;
     PolyBuffer rows;
+    std::vector<std::uint64_t*> row;
     std::atomic<bool> in_use{false};
 #ifndef NDEBUG
     std::atomic<int> active{0};  ///< concurrent-aliasing detector

@@ -201,14 +201,13 @@ Ciphertext SimdBatchEngine::evaluate(const Ciphertext& key_ct,
   Ciphertext state = key_ct;
 
   // One Mix-composed affine layer: full diagonal method over a hoisted
-  // state, all its rotations, diagonal encodes and products in one
-  // Bgv::fused_affine pass. The in-tile parts accumulate directly; the
-  // wrap parts (already pre-rotated by +s in prepare()) accumulate
+  // state — its digit build, rotations, diagonal encodes and products —
+  // in one Bgv::fused_affine pass. The in-tile parts accumulate directly;
+  // the wrap parts (already pre-rotated by +s in prepare()) accumulate
   // separately and take ONE closing rotation by cols - s.
   auto affine = [&](std::size_t l) {
-    const fhe::HoistedCt hoisted = bgv_.hoist(state);
     auto [acc, wrap_acc] =
-        bgv_.fused_affine(state, hoisted, batch.diags[l], *rotation_keys_);
+        bgv_.fused_affine(state, batch.diags[l], *rotation_keys_);
     for (const auto& pair : batch.diags[l]) {
       for (const auto& diag : pair) {
         if (!diag.coeffs.empty()) rep.scalar_multiplications += s;

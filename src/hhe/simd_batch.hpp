@@ -23,11 +23,10 @@
 //    into one accumulator that takes a single closing rotation by cols-2t.
 //
 //    The affine layer runs the FULL diagonal method on a hoisted state:
-//    Bgv::hoist digit-decomposes the state once and Bgv::fused_affine
-//    serves all 2t-1 rotations from it (key inner product + slot
+//    Bgv::fused_affine digit-decomposes the state once per RNS prime and
+//    serves all 2t-1 rotations from those digits (key inner product + slot
 //    permutation, no forward NTTs on the ciphertext), encodes each diagonal
-//    and accumulates the products, in one parallel pass over the RNS
-//    primes. With hoisting, 2t shared-decomposition rotations are cheaper
+//    and accumulates the products, in one parallel pass over the primes. With hoisting, 2t shared-decomposition rotations are cheaper
 //    than a baby/giant split whose giant steps would each redo the
 //    decomposition.
 //  * The linear Mix layer is folded into the preceding affine matrix

@@ -272,8 +272,10 @@ class Avx2Backend final : public Backend {
       __m256i acc0_lo = seed0 ? load4(dst0 + idx) : zero, acc0_hi = zero;
       __m256i acc1_lo = seed1 ? load4(dst1 + idx) : zero, acc1_hi = zero;
       const u64* kw = key + ksw_key_offset(idx, 0, stride);
+      const bool lead = idx % kKswLanes == 0;  // prefetch once per group
       std::size_t since = 0;
       for (std::size_t w = 0; w < nd; ++w, kw += 2 * kKswLanes) {
+        if (lead) detail::ksw_prefetch(kw);
         const __m256i v = load4(dig[w] + idx);
         __m256i phi, plo;
         mul_epu64_full(v, load4(kw), phi, plo);

@@ -234,6 +234,7 @@ class Avx512Backend final : public Backend {
       const u64* kw = key + ksw_key_offset(idx, 0, stride);
       std::size_t since = 0;
       for (std::size_t w = 0; w < nd; ++w, kw += 2 * kKswLanes) {
+        detail::ksw_prefetch(kw);
         const __m512i v = load8(dig[w] + idx);
         __m512i phi, plo;
         mul_epu64_full(v, load8(kw), phi, plo);

@@ -57,6 +57,13 @@ inline std::uint64_t shoup_precompute(std::uint64_t w, std::uint64_t q) {
 /// Coefficients per group of a key-switch key slab (one AVX-512 vector).
 inline constexpr std::size_t kKswLanes = 8;
 
+/// How far ahead of its read position ksw_accumulate prefetches the key
+/// slab, in words (4 KB). The slab is read once per key switch and does not
+/// fit in cache, so the hardware prefetcher alone leaves the inner product
+/// waiting on memory; 512 beat 128, 1024 and 2048 on a 4-core AVX-512 host
+/// (EXPERIMENTS.md, "Prime-major key switching").
+inline constexpr std::size_t kKswPrefetchWords = 512;
+
 /// Word offset of key w's b coefficient i in a key-switch key slab whose
 /// groups are `stride` words apart, laid out
 /// [group i / kKswLanes][key w][b | a][kKswLanes coefficients].
@@ -132,7 +139,8 @@ class Backend {
   /// read. Accumulators are flushed with the wide Barrett reduction before
   /// they can wrap, on one schedule for every backend; outputs are exact
   /// residues either way, so accumulate(dst=c) == add(c, overwrite())
-  /// bit-for-bit.
+  /// bit-for-bit. Every backend prefetches the slab kKswPrefetchWords
+  /// ahead of the key pair it is reading.
   virtual void ksw_accumulate(std::uint64_t* dst0, std::uint64_t* dst1,
                               const std::uint64_t* const* dig,
                               const std::uint64_t* key, std::size_t stride,

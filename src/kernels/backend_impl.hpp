@@ -29,6 +29,18 @@ inline std::size_t ksw_flush_interval(const mod::Modulus& m) {
              ~static_cast<u128>(0) / term_max - 1, ~std::size_t{0})));
 }
 
+/// Prefetch the key pair kKswPrefetchWords past `kw` into L1: its b and a
+/// halves, one cache line each (the slab is 64-byte aligned). Reaching past
+/// the slab's end is harmless: a prefetch never faults.
+inline void ksw_prefetch(const std::uint64_t* kw) {
+  const auto ahead = reinterpret_cast<std::uintptr_t>(kw) +
+                     kKswPrefetchWords * sizeof(std::uint64_t);
+  __builtin_prefetch(reinterpret_cast<const void*>(ahead), 0, 3);
+  __builtin_prefetch(
+      reinterpret_cast<const void*>(ahead + kKswLanes * sizeof(std::uint64_t)),
+      0, 3);
+}
+
 /// The scalar key-switch inner product (Backend::ksw_accumulate) over slots
 /// [begin, end): all of ScalarBackend's, and the SIMD backends' tail.
 inline void ksw_accumulate_slots(std::uint64_t* dst0, std::uint64_t* dst1,
@@ -43,8 +55,11 @@ inline void ksw_accumulate_slots(std::uint64_t* dst0, std::uint64_t* dst1,
     u128 acc0 = seed0 ? dst0[idx] : 0;  // overwrite mode never reads dst
     u128 acc1 = seed1 ? dst1[idx] : 0;
     const std::uint64_t* kw = key + ksw_key_offset(idx, 0, stride);
+    // One prefetch per key pair: from the group's first slot only.
+    const bool lead = idx % kKswLanes == 0;
     std::size_t since = 0;
     for (std::size_t w = 0; w < nd; ++w, kw += 2 * kKswLanes) {
+      if (lead) ksw_prefetch(kw);
       const u128 v = dig[w][idx];
       acc0 += v * kw[0];
       acc1 += v * kw[kKswLanes];

@@ -300,33 +300,6 @@ TEST(SimdBatchDifferential, FullCapacityRoundTrip) {
 
 // ------------------------------------- hoisted == unhoisted rotation path
 
-TEST(HoistedRotationDifferential, AgreesWithUnhoistedAcrossStepsAndLevels) {
-  auto& s = batched();
-  Xoshiro256 rng(424242);
-  const auto logical = random_msg(rng, s.config.bgv.t, s.config.bgv.n);
-  auto ct = s.bgv.encrypt(s.encoder.encode(s.layout.to_slots(logical)));
-
-  for (int drop = 0; drop < 2; ++drop) {
-    if (drop == 1) s.bgv.mod_switch_inplace(ct);
-    const fhe::HoistedCt hoisted = s.bgv.hoist(ct);
-    for (const long step : hhe::SimdBatchEngine::rotation_steps(s.config)) {
-      fhe::Ciphertext unhoisted = ct;
-      s.bgv.rotate_columns_inplace(unhoisted, step, *s.simd_keys);
-      const fhe::Ciphertext via_hoist =
-          s.bgv.rotate_hoisted(hoisted, step, *s.simd_keys);
-      // The two paths produce DIFFERENT ciphertext bits for the same
-      // plaintext (digit decomposition does not commute with the
-      // automorphism), so agreement is on decryptions, not parts.
-      EXPECT_EQ(s.bgv.decrypt(via_hoist).coeffs,
-                s.bgv.decrypt(unhoisted).coeffs)
-          << "step " << step << " drop " << drop;
-      EXPECT_GT(s.bgv.noise_budget_bits(via_hoist), 0.0) << "step " << step;
-    }
-  }
-}
-
-// -------------------------------- in-place == allocating hoisted rotation
-
 namespace {
 ::testing::AssertionResult ciphertext_bits_equal(const fhe::Ciphertext& a,
                                                  const fhe::Ciphertext& b) {
@@ -355,9 +328,38 @@ namespace {
 }
 }  // namespace
 
-// Unlike hoisted-vs-unhoisted (which only agree on decryptions), the
-// in-place path MUST be bit-identical to the allocating one: it runs the
-// same digit inner product, just into leased scratch with the closing
+TEST(HoistedRotationDifferential, AgreesWithUnhoistedAcrossStepsAndLevels) {
+  auto& s = batched();
+  Xoshiro256 rng(424242);
+  const auto logical = random_msg(rng, s.config.bgv.t, s.config.bgv.n);
+  auto ct = s.bgv.encrypt(s.encoder.encode(s.layout.to_slots(logical)));
+
+  for (int drop = 0; drop < 2; ++drop) {
+    if (drop == 1) s.bgv.mod_switch_inplace(ct);
+    const fhe::HoistedCt hoisted = s.bgv.hoist(ct);
+    for (const long step : hhe::SimdBatchEngine::rotation_steps(s.config)) {
+      fhe::Ciphertext unhoisted = ct;
+      s.bgv.rotate_columns_inplace(unhoisted, step, *s.simd_keys);
+      const fhe::Ciphertext via_hoist =
+          s.bgv.rotate_hoisted(hoisted, step, *s.simd_keys);
+      // Both paths decompose the UNROTATED c1 and apply tau once to the
+      // finished parts (the galois key is stored tau^-1-permuted), so the
+      // prime-major rotation must match the digit-form reference bit for
+      // bit.
+      EXPECT_TRUE(ciphertext_bits_equal(via_hoist, unhoisted))
+          << "step " << step << " drop " << drop;
+      EXPECT_EQ(s.bgv.decrypt(via_hoist).coeffs, s.bgv.decrypt(unhoisted).coeffs)
+          << "step " << step << " drop " << drop;
+      EXPECT_GT(s.bgv.noise_budget_bits(via_hoist), 0.0) << "step " << step;
+    }
+  }
+}
+
+// -------------------------------- in-place == allocating hoisted rotation
+
+
+// The in-place path MUST be bit-identical to the allocating one: it runs
+// the same digit inner product, just into leased scratch with the closing
 // permutation fused. Agreement here is on raw ciphertext words.
 TEST(HoistedRotationDifferential, InPlaceMatchesAllocatingBitForBit) {
   auto& s = batched();
@@ -446,16 +448,16 @@ namespace {
 using Accumulators = std::array<fhe::Ciphertext, 2>;
 using DiagPairs = std::vector<std::array<fhe::Plaintext, 2>>;
 
-// The per-diagonal composition Bgv::fused_affine replaces: one
+// The composition Bgv::fused_affine replaces: hoist, then one
 // rotate_hoisted_into per served rotation, one from_plaintext per diagonal
 // and zero-seeded add_mul_inplace, then the layer's accounting (the fused
 // bound, and its tape node appended by hand). `state` must be recorded.
 Accumulators per_diagonal_affine(const fhe::Bgv& bgv,
                                  const fhe::Ciphertext& state,
-                                 const fhe::HoistedCt& hoisted,
                                  const DiagPairs& diags,
                                  const fhe::GaloisKeys& keys,
                                  fhe::NoiseTape& tape) {
+  const fhe::HoistedCt hoisted = bgv.hoist(state);
   Accumulators acc;
   std::array<std::uint32_t, 2> terms{0, 0};
   fhe::Ciphertext rot;
@@ -519,14 +521,14 @@ void expect_same_run(const AffineRun& want, const AffineRun& got) {
     EXPECT_TRUE(ciphertext_bits_equal(got.acc[v], want.acc[v]));
     EXPECT_EQ(got.acc[v].noise_bits, want.acc[v].noise_bits);
   }
-  // Every op counter; the pool's hit/miss split is left out because the
-  // fused pass leases per-prime rows instead of one polynomial per
-  // diagonal.
+  // Every op counter. Left out: the pool's hit/miss split, because the
+  // fused pass leases per-prime rows instead of one polynomial per digit
+  // and diagonal, and the copied bytes, because it builds its digits in
+  // place instead of copying the state into a HoistedCt.
   const auto ops = [](const CounterSnapshot& c) {
     return std::vector<u64>{c.ntt_forward,  c.ntt_inverse,   c.ct_ct_mul,
                             c.key_switch,   c.mod_switch,    c.encode,
-                            c.automorphisms, c.hoisted_rotations,
-                            c.bytes_copied};
+                            c.automorphisms, c.hoisted_rotations};
   };
   EXPECT_EQ(ops(got.ops), ops(want.ops));
   const auto& a = want.tape.nodes();
@@ -540,9 +542,10 @@ void expect_same_run(const AffineRun& want, const AffineRun& got) {
 }
 }  // namespace
 
-// Bgv::fused_affine against the per-diagonal reference, bit for bit, on
-// every kernel backend, at the levels the circuit visits, for a full batch,
-// a sparse one with skipped (empty) diagonals and a wrap-only layer. The
+// Bgv::fused_affine against the hoisted per-diagonal reference, bit for
+// bit, on every kernel backend, at the levels the circuit visits, for a
+// full batch, a sparse one with skipped (empty) diagonals and a wrap-only
+// layer. The
 // fused pass runs twice: on the pool, and as a nested call, which
 // ThreadPool::run executes serially on one thread — so one process covers
 // the parallel and the one-thread schedule.
@@ -591,21 +594,18 @@ TEST(FusedAffineDifferential, MatchesPerDiagonalOnEveryBackendAndLevel) {
       fhe::Ciphertext state = top;
       bgv.mod_switch_to(state, level);
       ASSERT_EQ(state.level, level);
-      const fhe::HoistedCt hoisted = bgv.hoist(state);
       for (const auto& [name, diags] : layers) {
         SCOPED_TRACE(name);
         AffineRun ref, pooled, nested;
         record_run(bgv, exec, ref, [&] {
-          return per_diagonal_affine(bgv, state, hoisted, *diags, *keys,
-                                     ref.tape);
+          return per_diagonal_affine(bgv, state, *diags, *keys, ref.tape);
         });
-        record_run(bgv, exec, pooled, [&] {
-          return bgv.fused_affine(state, hoisted, *diags, *keys);
-        });
+        record_run(bgv, exec, pooled,
+                   [&] { return bgv.fused_affine(state, *diags, *keys); });
         record_run(bgv, exec, nested, [&] {
           Accumulators out;
           parallel_for(2, [&](std::size_t i) {
-            if (i == 0) out = bgv.fused_affine(state, hoisted, *diags, *keys);
+            if (i == 0) out = bgv.fused_affine(state, *diags, *keys);
           });
           return out;
         });
@@ -674,6 +674,100 @@ TEST(GoldenEvaluate, BatchedOutputHashIsPinnedOnEveryBackend) {
         engine.evaluate(key_ct, engine.prepare(blocks));
     EXPECT_EQ(ciphertext_hash(out), kGoldenHash)
         << "0x" << std::hex << ciphertext_hash(out);
+  }
+}
+
+// ------------------------------------------- golden key-switch outputs
+
+// The same kind of pin for every key switch outside the affine layers —
+// relinearisation, the plain rotations, the ingest switch — and for one
+// block of the coefficient-wise server, whose circuit is all ct-ct
+// products. The values were recorded before key switching went
+// prime-major. ctest runs this suite at POE_THREADS=1, 2 and 4
+// (GoldenKeySwitch.Threads*).
+TEST(GoldenKeySwitch, RelinearisedProductHashIsPinnedOnEveryBackend) {
+  constexpr u64 kGoldenHash = 0xe3c92a647659dd94ull;
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    fhe::Bgv bgv(config.bgv, &exec);
+    Xoshiro256 rng(20261020);
+    const fhe::Plaintext a{random_msg(rng, config.bgv.t, config.bgv.n)};
+    const fhe::Plaintext b{random_msg(rng, config.bgv.t, config.bgv.n)};
+    fhe::Ciphertext ca = bgv.encrypt(a);
+    fhe::Ciphertext cb = bgv.encrypt(b);
+    // One product at the top level, one after a two-prime drop.
+    fhe::Ciphertext top = bgv.multiply(ca, cb);
+    bgv.relinearize_inplace(top);
+    bgv.mod_switch_to(ca, ca.level - 2);
+    bgv.mod_switch_to(cb, cb.level - 2);
+    fhe::Ciphertext low = bgv.multiply(ca, cb);
+    bgv.relinearize_inplace(low);
+    const u64 h = ciphertext_hash(top) ^ (ciphertext_hash(low) << 1);
+    EXPECT_EQ(h, kGoldenHash) << "0x" << std::hex << h;
+  }
+}
+
+TEST(GoldenKeySwitch, RotationHashIsPinnedOnEveryBackend) {
+  constexpr u64 kGoldenHash = 0x53c4ab7436d9290dull;
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    fhe::Bgv bgv(config.bgv, &exec);
+    const fhe::GaloisKeys keys =
+        bgv.make_rotation_keys({1, 17, fhe::GaloisKeys::kRowSwap});
+    Xoshiro256 rng(20261021);
+    fhe::Ciphertext ct =
+        bgv.encrypt({random_msg(rng, config.bgv.t, config.bgv.n)});
+    bgv.rotate_columns_inplace(ct, 1, keys);
+    bgv.mod_switch_to(ct, ct.level - 3);
+    bgv.rotate_columns_inplace(ct, 17, keys);
+    bgv.swap_rows_inplace(ct, keys);
+    EXPECT_EQ(ciphertext_hash(ct), kGoldenHash)
+        << "0x" << std::hex << ciphertext_hash(ct);
+  }
+}
+
+TEST(GoldenKeySwitch, IngestSwitchHashIsPinnedOnEveryBackend) {
+  constexpr u64 kGoldenHash = 0xa91bc4ee669c3da4ull;
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  fhe::BgvParams tenant_params = config.bgv;
+  tenant_params.seed = 4242;
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    fhe::Bgv bgv(config.bgv, &exec);
+    fhe::Bgv tenant(tenant_params, &exec);
+    const fhe::KswKey key = bgv.make_ingest_key(tenant);
+    Xoshiro256 rng(20261022);
+    fhe::Ciphertext ct =
+        tenant.encrypt({random_msg(rng, config.bgv.t, config.bgv.n)});
+    const fhe::Ciphertext top = bgv.ingest_switch(ct, key);
+    tenant.mod_switch_to(ct, 5);
+    const fhe::Ciphertext low = bgv.ingest_switch(ct, key);
+    const u64 h = ciphertext_hash(top) ^ (ciphertext_hash(low) << 1);
+    EXPECT_EQ(h, kGoldenHash) << "0x" << std::hex << h;
+  }
+}
+
+TEST(GoldenKeySwitch, CoefficientServerBlockHashIsPinnedOnEveryBackend) {
+  constexpr u64 kGoldenHash = 0x20b3d8915016cb83ull;
+  const hhe::HheConfig config = hhe::HheConfig::test();
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    fhe::Bgv bgv(config.bgv, &exec);
+    Xoshiro256 rng(20261023);
+    const auto key = pasta::PastaCipher::random_key(config.pasta, rng);
+    const hhe::HheClient client(config, bgv, key);
+    const hhe::HheServer server(config, bgv, client.encrypt_key());
+    const auto msg = random_msg(rng, config.pasta.p, config.pasta.t);
+    const auto out = server.transcipher_block(client.encrypt(msg, 77), 77, 0);
+    u64 h = 0;
+    for (const auto& ct : out) h = (h << 1 | h >> 63) ^ ciphertext_hash(ct);
+    EXPECT_EQ(h, kGoldenHash) << "0x" << std::hex << h;
   }
 }
 

@@ -12,8 +12,8 @@
 // visited from one thread. The multi-thread site, pool.acquire, is visited
 // from pool workers and is exercised by the invariant-based chaos sweep,
 // not by exact-outcome tests. fhe.hoist.scratch.alloc_fail is visited on
-// the evaluating thread: Bgv::fused_affine leases one scratch per prime
-// there before each affine layer's parallel pass (only a direct caller of
+// the evaluating thread: every key switch leases one scratch per prime
+// there before its parallel pass over the primes (only a direct caller of
 // rotate_hoisted_into can visit it from elsewhere).
 //
 // Naming convention for sites: <layer>.<point>[.<aspect>], e.g.

@@ -11,14 +11,17 @@
 // a schedule is reproducible from its seed alone as long as each site is
 // visited from one thread. The multi-thread site, pool.acquire, is visited
 // from pool workers and is exercised by the invariant-based chaos sweep,
-// not by exact-outcome tests. fhe.hoist.scratch.alloc_fail is visited on
-// the evaluating thread: every key switch leases one scratch per prime
-// there before its parallel pass over the primes (only a direct caller of
-// rotate_hoisted_into can visit it from elsewhere).
+// not by exact-outcome tests. fhe.hoist.scratch.alloc_fail is visited by
+// every key switch, once per prime, on the thread that calls the switch,
+// before its parallel pass over the primes. In SimdBatchEngine::evaluate
+// that is the evaluating thread. HheServer's S-box relinearises inside
+// parallel_for, so pool workers visit it there, and
+// TranscipherService::open_session_switched visits it through ingest_switch,
+// outside process()'s stage retry.
 //
 // Naming convention for sites: <layer>.<point>[.<aspect>], e.g.
 //   pool.acquire            allocation of a polynomial slab
-//   fhe.hoist.scratch.alloc_fail  lease of a hoisted-rotation scratch
+//   fhe.hoist.scratch.alloc_fail  lease of a key-switch scratch
 //   service.prepare         the service's batch-preparation stage
 //   service.prepare.stall   virtual-time stall charged to that stage
 //   service.evaluate        the BGV evaluation stage

@@ -370,6 +370,38 @@ void Bgv::switch_prime_major(const RnsPoly& c, Task&& task) const {
   });
 }
 
+void Bgv::switch_accumulate(const RnsPoly& c, const KswKey& key,
+                            const RnsPoly* seed0, RnsPoly& out0,
+                            RnsPoly& out1, bool acc1) const {
+  const std::size_t n = ctx_.n();
+  const auto& kern = ctx_.exec().kernels();
+  switch_prime_major(c, [&](std::size_t i, const u64* const* dig,
+                            std::size_t nd, u64*) {
+    if (seed0 != nullptr) {
+      const auto src = seed0->rns(i);
+      std::copy(src.begin(), src.end(), out0.rns(i).begin());
+    }
+    kern.ksw_accumulate(out0.rns(i).data(), out1.rns(i).data(), dig,
+                        key.component(i), key.group_stride(), nd, n,
+                        ctx_.mod(i), /*acc0=*/true, acc1);
+  });
+}
+
+void Bgv::rotate_prime(std::size_t i, const u64* const* dig, std::size_t nd,
+                       const KswKey& key, const std::uint32_t* perm,
+                       const u64* src0, u64* dst0, u64* dst1,
+                       u64* spare) const {
+  const std::size_t n = ctx_.n();
+  const auto& m = ctx_.mod(i);
+  const auto& kern = ctx_.exec().kernels();
+  u64* const acc0 = spare;
+  u64* const acc1 = spare + n;
+  kern.ksw_accumulate(acc0, acc1, dig, key.component(i), key.group_stride(),
+                      nd, n, m, /*acc0=*/false, /*acc1=*/false);
+  kern.permute_add(dst0, src0, acc0, perm, n, m);
+  kern.permute(dst1, acc1, perm, n);
+}
+
 void Bgv::ksw_accumulate(RnsPoly& out0, RnsPoly& out1, std::size_t level,
                          std::span<const RnsPoly> digits, const KswKey& key,
                          bool acc0, bool acc1) const {
@@ -437,20 +469,12 @@ void Bgv::apply_galois_inplace(Ciphertext& a, u64 galois_element,
   // applied once to each finished output part (see make_galois_key): per
   // prime, c0' = tau(c0 + sum) and c1' = tau(sum), as one fused
   // permute(-add) out of the spare rows.
-  const std::size_t n = ctx_.n();
   const auto perm = ctx_.galois_ntt_perm(galois_element);
-  const auto& kern = ctx_.exec().kernels();
   RnsPoly c0 = RnsPoly::uninit(&ctx_, a.level, /*ntt_form=*/true);
   switch_prime_major(a.parts[1], [&](std::size_t i, const u64* const* dig,
                                      std::size_t nd, u64* spare) {
-    const auto& m = ctx_.mod(i);
-    u64* const acc0 = spare;
-    u64* const acc1 = spare + n;
-    kern.ksw_accumulate(acc0, acc1, dig, key.component(i), key.group_stride(),
-                        nd, n, m, /*acc0=*/false, /*acc1=*/false);
-    kern.permute_add(c0.rns(i).data(), a.parts[0].rns(i).data(), acc0,
-                     perm.data(), n, m);
-    kern.permute(a.parts[1].rns(i).data(), acc1, perm.data(), n);
+    rotate_prime(i, dig, nd, key, perm.data(), a.parts[0].rns(i).data(),
+                 c0.rns(i).data(), a.parts[1].rns(i).data(), spare);
   });
   a.parts[0] = std::move(c0);
   a.noise_bits = NoiseEstimator(params_).rotate(a.noise_bits, a.level);
@@ -486,21 +510,12 @@ Ciphertext Bgv::ingest_switch(const Ciphertext& ct,
   // raw RNS words carry over verbatim into this evaluator's context: c0
   // stays, c1 is key-switched from the tenant's secret onto ours — the
   // shape of apply_galois_inplace with the identity automorphism.
-  const std::size_t n = ctx_.n();
-  const auto& kern = ctx_.exec().kernels();
   Ciphertext out;
   out.level = level;
   out.parts.push_back(RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));
   out.parts.push_back(RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));
-  switch_prime_major(ct.parts[1], [&](std::size_t i, const u64* const* dig,
-                                      std::size_t nd, u64*) {
-    const auto src = ct.parts[0].rns(i);
-    std::copy(src.begin(), src.end(), out.parts[0].rns(i).begin());
-    kern.ksw_accumulate(out.parts[0].rns(i).data(), out.parts[1].rns(i).data(),
-                        dig, ingest_key.component(i),
-                        ingest_key.group_stride(), nd, n, ctx_.mod(i),
-                        /*acc0=*/true, /*acc1=*/false);
-  });
+  switch_accumulate(ct.parts[1], ingest_key, &ct.parts[0], out.parts[0],
+                    out.parts[1], /*acc1=*/false);
   out.noise_bits = NoiseEstimator(params_).relinearize(ct.noise_bits, level);
   out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kIngest),
                              record_operand(ct.trace_id), -1);
@@ -665,9 +680,9 @@ std::array<Ciphertext, 2> Bgv::fused_affine(
   switch_prime_major(state.parts[1], [&](std::size_t i, const u64* const* dig,
                                          std::size_t, u64* spare) {
     const auto& m = ctx_.mod(i);
-    u64* const acc0 = spare;
-    u64* const acc1 = acc0 + n;
-    u64* const rot0 = acc1 + n;
+    // Spare rows: the inner product's two outputs, then the rotated parts
+    // and the lifted diagonal.
+    u64* const rot0 = spare + 2 * n;
     u64* const rot1 = rot0 + n;
     u64* const diag = rot1 + n;
     for (std::size_t k = 0; k < diags.size(); ++k) {
@@ -676,14 +691,9 @@ std::array<Ciphertext, 2> Bgv::fused_affine(
       const u64* src0 = state.parts[0].rns(i).data();
       const u64* src1 = state.parts[1].rns(i).data();
       if (k != 0) {
-        // rotate_hoisted_into for this prime: overwrite-mode key inner
-        // product, then the closing permute(-add).
+        // rotate_hoisted_into for this prime.
         const Rotation& r = rotations[k];
-        kern.ksw_accumulate(acc0, acc1, dig, r.key->component(i),
-                            r.key->group_stride(), nd, n, m,
-                            /*acc0=*/false, /*acc1=*/false);
-        kern.permute_add(rot0, src0, acc0, r.perm, n, m);
-        kern.permute(rot1, acc1, r.perm, n);
+        rotate_prime(i, dig, nd, *r.key, r.perm, src0, rot0, rot1, spare);
         src0 = rot0;
         src1 = rot1;
       }
@@ -925,6 +935,14 @@ Ciphertext Bgv::multiply(const Ciphertext& a, const Ciphertext& b) const {
   POE_ENSURE(a.level == b.level, "level mismatch (use match_levels)");
   POE_ENSURE(a.size() == 2 && b.size() == 2,
              "multiply requires relinearised inputs");
+  for (const Ciphertext* ct : {&a, &b}) {
+    for (const RnsPoly& part : ct->parts) {
+      POE_ENSURE(part.context() == &ctx_, "polynomials from different contexts");
+      POE_ENSURE(part.level() >= a.level,
+                 "operand level " << part.level() << " below " << a.level);
+      POE_ENSURE(part.is_ntt(), "pointwise multiply requires NTT form");
+    }
+  }
   auto& counters = ctx_.exec().counters();
   counters.bump(counters.ct_ct_mul);
   const std::size_t n = ctx_.n();
@@ -973,14 +991,8 @@ void Bgv::relinearize_inplace(Ciphertext& a) const {
   auto& counters = ctx_.exec().counters();
   counters.bump(counters.key_switch);
   // c0 += sum_w digit_w(c2) * b_w and c1 += sum_w digit_w(c2) * a_w.
-  const std::size_t n = ctx_.n();
-  const auto& kern = ctx_.exec().kernels();
-  switch_prime_major(a.parts[2], [&](std::size_t i, const u64* const* dig,
-                                     std::size_t nd, u64*) {
-    kern.ksw_accumulate(a.parts[0].rns(i).data(), a.parts[1].rns(i).data(),
-                        dig, rlk_.component(i), rlk_.group_stride(), nd, n,
-                        ctx_.mod(i), /*acc0=*/true, /*acc1=*/true);
-  });
+  switch_accumulate(a.parts[2], rlk_, /*seed0=*/nullptr, a.parts[0],
+                    a.parts[1], /*acc1=*/true);
   a.parts.pop_back();
   a.noise_bits = NoiseEstimator(params_).relinearize(a.noise_bits, a.level);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kRelinearize),

@@ -340,6 +340,22 @@ class Bgv {
   /// the decomposition's NTTs; the caller counts the switch.
   template <typename Task>
   void switch_prime_major(const RnsPoly& c, Task&& task) const;
+  /// The accumulate-mode switch of relinearisation and ingest, on
+  /// switch_prime_major: per prime, out0 += sum_w digit_w(c) * key_w.b and
+  /// out1 (+)= sum_w digit_w(c) * key_w.a (`acc1` false overwrites out1).
+  /// A non-null `seed0` is first copied into out0, prime by prime.
+  void switch_accumulate(const RnsPoly& c, const KswKey& key,
+                         const RnsPoly* seed0, RnsPoly& out0, RnsPoly& out1,
+                         bool acc1) const;
+  /// Prime i of a rotation by the tau^-1-stored galois key `key`, with
+  /// `perm` tau's NTT slot permutation: the overwrite-mode inner product
+  /// into the first two `spare` rows, then dst0 = tau(src0 + sum_b) and
+  /// dst1 = tau(sum_a), fused as permute_add/permute.
+  void rotate_prime(std::size_t i, const std::uint64_t* const* dig,
+                    std::size_t nd, const KswKey& key,
+                    const std::uint32_t* perm, const std::uint64_t* src0,
+                    std::uint64_t* dst0, std::uint64_t* dst1,
+                    std::uint64_t* spare) const;
   /// The key inner product of the digit-form reference (rotate_hoisted*):
   /// out0/out1 (+)= sum_w digits[w] * key_w.b/.a, accumulated lazily in 128
   /// bits and parallelised over RNS components. `acc0`/`acc1` select

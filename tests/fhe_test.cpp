@@ -221,6 +221,23 @@ TEST_F(BgvToy, MatchLevels) {
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(got[i], mt.add(a[i], a[i]));
 }
 
+TEST_F(BgvToy, MultiplyRejectsForeignAndCoefficientFormOperands) {
+  const auto a = random_values(8, bgv_.params().t, 15);
+  const auto ca = bgv_.encrypt(encoder_.encode(a));
+  auto coeff = ca;
+  coeff.parts[1].from_ntt();
+  EXPECT_THROW((void)bgv_.multiply(ca, coeff), poe::Error);
+  auto short_part = ca;
+  bgv_.mod_switch_inplace(short_part);
+  short_part.level = ca.level;  // parts now below the claimed level
+  EXPECT_THROW((void)bgv_.multiply(short_part, ca), poe::Error);
+  auto other_params = bgv_.params();
+  other_params.seed += 1;
+  const Bgv other(other_params);
+  const auto foreign = other.encrypt(encoder_.encode(a));
+  EXPECT_THROW((void)bgv_.multiply(ca, foreign), poe::Error);
+}
+
 TEST_F(BgvToy, NoiseBudgetDecreasesWithWork) {
   const auto a = random_values(8, bgv_.params().t, 14);
   auto ct = bgv_.encrypt(encoder_.encode(a));

@@ -11,8 +11,9 @@
 // Two reference points anchor the numbers: the same 8-client workload
 // served one process() call per client (per-client batches, the
 // pre-packing service), and sequential per-client coefficient-wise
-// HheServer::transcipher calls. The service must beat the coefficient-wise
-// baseline by >= 1.3x aggregate throughput.
+// HheServer::transcipher calls. They are timed like the sweep points, as
+// the median of several waves, but without a warm wave. The service must
+// beat the coefficient-wise baseline by >= 1.3x aggregate throughput.
 //
 // Multi-process mode: re-invoked with `--shard <fd>` or `--keymanager <fd>`
 // this binary becomes one worker of a process-level deployment — the parent
@@ -534,33 +535,52 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   // ---- Reference: the same 8-client workload, one call per client. ------
-  // Each call forms only that client's batches; the calls run back to
-  // back, so their times add up.
+  // Each call forms only that client's batches; a wave runs the calls back
+  // to back, so their times add up. Timed like the sweep points.
   service::ServiceReport unpacked;
+  WaveStats unpacked_waves;
   {
     service::ServiceConfig scfg;
     scfg.max_sessions = max_clients;
     service::TranscipherService svc(config, bgv, scfg, simd_keys);
-    double occupancy_sum = 0;
     for (std::size_t c = 0; c < max_clients; ++c) {
       svc.open_session(c + 1, key_cts[c]);
-      service::ServiceReport rep;
-      const auto results = svc.process(
-          std::vector{service::TranscipherRequest{
-              .client_id = c + 1,
-              .nonce = 7000 + c,
-              .symmetric_ct = ciphers[c].encrypt(msgs[c], 7000 + c)}},
-          &rep);
-      if (!results[0].ok()) {
-        std::cerr << "unpacked reference degraded: " << results[0].error
-                  << "\n";
-        return 1;
+    }
+    std::vector<service::ServiceReport> reps(max_clients);
+    std::vector<service::TranscipherResult> results(max_clients);
+    const auto run = [&](std::size_t w) {
+      double total_s = 0;
+      for (std::size_t c = 0; c < max_clients; ++c) {
+        const std::uint64_t nonce = 7000 + 100 * w + c;
+        results[c] = std::move(svc.process(
+            std::vector{service::TranscipherRequest{
+                .client_id = c + 1,
+                .nonce = nonce,
+                .symmetric_ct = ciphers[c].encrypt(msgs[c], nonce)}},
+            &reps[c])[0]);
+        total_s += reps[c].total_s;
       }
+      return total_s;
+    };
+    const auto check = [&] {
+      for (const auto& r : results) {
+        if (!r.ok()) {
+          std::cerr << "unpacked reference degraded: " << r.error << "\n";
+          return false;
+        }
+      }
+      return true;
+    };
+    unpacked_waves = time_waves(run, check);
+    if (unpacked_waves.timed == 0) return 1;
+    // Every wave forms the same batches; the counts are the last wave's.
+    double occupancy_sum = 0;
+    for (const auto& rep : reps) {
       unpacked.blocks += rep.blocks;
       unpacked.batches += rep.batches;
-      unpacked.total_s += rep.total_s;
       occupancy_sum += rep.avg_batch_occupancy * double(rep.batches);
     }
+    unpacked.total_s = unpacked_waves.median_s;
     unpacked.avg_batch_occupancy = occupancy_sum / double(unpacked.batches);
     unpacked.blocks_per_s = double(unpacked.blocks) / unpacked.total_s;
     const double packed_vs_unpacked =
@@ -575,7 +595,7 @@ int main(int argc, char** argv) {
   // ---- Baseline at 8 clients: sequential coefficient-wise serving. -------
   const auto coeff_config = hhe::HheConfig::test();
   fhe::Bgv coeff_bgv(coeff_config.bgv);
-  double baseline_s = 0;
+  WaveStats baseline_waves;
   std::size_t baseline_blocks = 0;
   {
     std::cout << "\nbaseline: sequential per-client HheServer::transcipher ("
@@ -587,16 +607,24 @@ int main(int argc, char** argv) {
       hhe::HheClient client(coeff_config, coeff_bgv, keys[c]);
       servers.emplace_back(coeff_config, coeff_bgv, client.encrypt_key());
     }
-    t0 = Clock::now();
-    for (std::size_t c = 0; c < max_clients; ++c) {
-      const auto sym = ciphers[c].encrypt(msgs[c], 7000 + c);
-      const auto out = servers[c].transcipher(sym, 7000 + c);
-      baseline_blocks += (sym.size() + coeff_config.pasta.t - 1) /
-                         coeff_config.pasta.t;
-      if (out.size() != sym.size()) return 1;
-    }
-    baseline_s = seconds_since(t0);
+    bool sizes_ok = true;
+    const auto run = [&](std::size_t w) {
+      baseline_blocks = 0;
+      const auto start = Clock::now();
+      for (std::size_t c = 0; c < max_clients; ++c) {
+        const std::uint64_t nonce = 7000 + 100 * w + c;
+        const auto sym = ciphers[c].encrypt(msgs[c], nonce);
+        const auto out = servers[c].transcipher(sym, nonce);
+        baseline_blocks += (sym.size() + coeff_config.pasta.t - 1) /
+                           coeff_config.pasta.t;
+        sizes_ok = sizes_ok && out.size() == sym.size();
+      }
+      return seconds_since(start);
+    };
+    baseline_waves = time_waves(run, [&] { return sizes_ok; });
+    if (baseline_waves.timed == 0) return 1;
   }
+  const double baseline_s = baseline_waves.median_s;
 
   const double service_tput = sweep.back().blocks_per_s;
   const double baseline_tput = double(baseline_blocks) / baseline_s;
@@ -733,14 +761,22 @@ int main(int argc, char** argv) {
          << ", \"avg_batch_occupancy\": "
          << fixed(unpacked.avg_batch_occupancy, 3)
          << ", \"blocks_per_s\": " << fixed(unpacked.blocks_per_s, 3)
-         << ", \"total_s\": " << fixed(unpacked.total_s, 4) << "},\n"
+         << ", \"waves_timed\": " << unpacked_waves.timed
+         << ", \"waves_stolen\": " << unpacked_waves.stolen
+         << ", \"total_s\": " << fixed(unpacked.total_s, 4)
+         << ", \"total_s_q1\": " << fixed(unpacked_waves.q1_s, 4)
+         << ", \"total_s_q3\": " << fixed(unpacked_waves.q3_s, 4) << "},\n"
          << "  \"packed_vs_unpacked_speedup\": "
          << fixed(sweep.back().blocks_per_s / unpacked.blocks_per_s, 3)
          << ",\n"
          << "  \"baseline\": {\"name\": \"sequential_coeff_hhe_server\", "
          << "\"clients\": " << max_clients
          << ", \"blocks\": " << baseline_blocks
+         << ", \"waves_timed\": " << baseline_waves.timed
+         << ", \"waves_stolen\": " << baseline_waves.stolen
          << ", \"total_s\": " << fixed(baseline_s, 4)
+         << ", \"total_s_q1\": " << fixed(baseline_waves.q1_s, 4)
+         << ", \"total_s_q3\": " << fixed(baseline_waves.q3_s, 4)
          << ", \"blocks_per_s\": " << fixed(baseline_tput, 3) << "},\n"
          << "  \"speedup_at_" << max_clients
          << "_clients\": " << fixed(speedup, 3) << ",\n"

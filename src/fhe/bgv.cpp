@@ -832,26 +832,38 @@ Plaintext Bgv::decrypt(const Ciphertext& ct) const {
 }
 
 double Bgv::noise_budget_bits(const Ciphertext& ct) const {
-  RnsPoly v = decrypt_core(ct);
+  const RnsPoly v = decrypt_core(ct);
   const LevelData& lvl = ctx_.level(ct.level);
-  unsigned max_bits = 0;
-  for (std::size_t idx = 0; idx < ctx_.n(); ++idx) {
-    UBig acc;
-    for (std::size_t i = 0; i < ct.level; ++i) {
-      const auto& m = ctx_.mod(i);
-      const u64 term = m.mul(v.rns(i)[idx], lvl.q_hat_inv[i]);
-      UBig contrib = lvl.q_hat[i];
-      contrib.mul_u64(term);
-      acc.add(contrib);
+  // The centred CRT lift of every coefficient, in parallel over fixed
+  // coefficient ranges. The pool slab above is the only one taken, on the
+  // calling thread, so the measurement's allocations do not depend on the
+  // schedule.
+  const std::size_t n = ctx_.n();
+  const std::size_t ranges = std::min<std::size_t>(n, kBudgetRanges);
+  std::vector<unsigned> range_bits(ranges, 0);
+  parallel_for(ranges, [&](std::size_t r) {
+    unsigned max_bits = 0;
+    for (std::size_t idx = r * n / ranges; idx < (r + 1) * n / ranges; ++idx) {
+      UBig acc;
+      for (std::size_t i = 0; i < ct.level; ++i) {
+        const auto& m = ctx_.mod(i);
+        const u64 term = m.mul(v.rns(i)[idx], lvl.q_hat_inv[i]);
+        UBig contrib = lvl.q_hat[i];
+        contrib.mul_u64(term);
+        acc.add(contrib);
+      }
+      acc.mod_by_subtraction(lvl.q);
+      if (acc > lvl.q_half) {
+        UBig tmp = lvl.q;
+        tmp.sub(acc);
+        acc = std::move(tmp);
+      }
+      max_bits = std::max(max_bits, acc.bit_length());
     }
-    acc.mod_by_subtraction(lvl.q);
-    if (acc > lvl.q_half) {
-      UBig tmp = lvl.q;
-      tmp.sub(acc);
-      acc = std::move(tmp);
-    }
-    max_bits = std::max(max_bits, acc.bit_length());
-  }
+    range_bits[r] = max_bits;
+  });
+  const unsigned max_bits =
+      *std::max_element(range_bits.begin(), range_bits.end());
   return static_cast<double>(lvl.q.bit_length()) - 1.0 -
          static_cast<double>(max_bits);
 }
@@ -906,6 +918,69 @@ void Bgv::mul_plain_inplace(Ciphertext& a, const Plaintext& pt) const {
   a.noise_bits = NoiseEstimator(params_).mul_plain(a.noise_bits);
   a.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
                            record_operand(a.trace_id), -1);
+}
+
+Ciphertext Bgv::sum_mul_plain(std::span<const Ciphertext* const> cts,
+                              std::span<const Plaintext> pts) const {
+  POE_ENSURE(!cts.empty() && cts.size() == pts.size(),
+             "sum_mul_plain needs one plaintext per ciphertext");
+  const std::size_t level = cts[0]->level;
+  const std::size_t parts = cts[0]->size();
+  for (const Ciphertext* ct : cts) {
+    POE_ENSURE(ct->level == level && ct->size() == parts,
+               "sum_mul_plain terms must share one level and size");
+    for (const RnsPoly& part : ct->parts) {
+      POE_ENSURE(part.context() == &ctx_, "polynomials from different contexts");
+      POE_ENSURE(part.level() >= level,
+                 "operand level " << part.level() << " below " << level);
+      POE_ENSURE(part.is_ntt(), "pointwise multiply requires NTT form");
+    }
+  }
+  auto& counters = ctx_.exec().counters();
+  counters.bump(counters.ntt_forward, level * cts.size());  // the encodes
+  Ciphertext out;
+  out.level = level;
+  for (std::size_t p = 0; p < parts; ++p) {
+    out.parts.push_back(RnsPoly::uninit(&ctx_, level, /*ntt_form=*/true));
+  }
+  RnsPoly lifted = RnsPoly::uninit(&ctx_, level, /*ntt_form=*/false);
+  const std::size_t n = ctx_.n();
+  const auto& kern = ctx_.exec().kernels();
+  parallel_for(level, [&](std::size_t i) {
+    const auto& m = ctx_.mod(i);
+    u64* const row = lifted.rns(i).data();
+    for (std::size_t k = 0; k < cts.size(); ++k) {
+      RnsPoly::lift_plaintext_row(pts[k].coeffs, ctx_.t(), m, {row, n});
+      ctx_.ntt(i).forward({row, n}, kern);
+      for (std::size_t p = 0; p < parts; ++p) {
+        const u64* const src = cts[k]->parts[p].rns(i).data();
+        u64* const dst = out.parts[p].rns(i).data();
+        if (k == 0) {
+          std::copy_n(src, n, dst);
+          kern.mul(dst, row, n, m);
+        } else {
+          kern.add_mul(dst, src, row, n, m);
+        }
+      }
+    }
+  });
+  const NoiseEstimator est(params_);
+  for (std::size_t k = 0; k < cts.size(); ++k) {
+    const double bits = est.mul_plain(cts[k]->noise_bits);
+    const std::int32_t id =
+        record_node(static_cast<std::uint8_t>(NoiseOp::kMulPlain),
+                    record_operand(cts[k]->trace_id), -1);
+    if (k == 0) {
+      out.noise_bits = bits;
+      out.trace_id = id;
+      continue;
+    }
+    out.noise_bits = est.add(out.noise_bits, bits);
+    out.trace_id = record_node(static_cast<std::uint8_t>(NoiseOp::kAdd),
+                               record_operand(out.trace_id),
+                               record_operand(id));
+  }
+  return out;
 }
 
 void Bgv::mul_scalar_inplace(Ciphertext& a, u64 scalar) const {

@@ -163,6 +163,12 @@ class Bgv {
   void sub_plain_inplace(Ciphertext& a, const Plaintext& pt) const;
   /// Multiply by the plaintext polynomial (NTT product).
   void mul_plain_inplace(Ciphertext& a, const Plaintext& pt) const;
+  /// sum_k cts[k] * pts[k] as ONE parallel pass over the RNS primes (each
+  /// prime lifts and transforms every plaintext itself). The cts must share
+  /// one level and size. Bit-identical to, and accounted exactly like,
+  /// mul_plain_inplace on a copy of each term and add_inplace in k order.
+  Ciphertext sum_mul_plain(std::span<const Ciphertext* const> cts,
+                           std::span<const Plaintext> pts) const;
   /// Multiply by an integer constant mod t (no NTT, cheap).
   void mul_scalar_inplace(Ciphertext& a, std::uint64_t scalar) const;
   /// Add an integer constant mod t.
@@ -367,6 +373,8 @@ class Bgv {
                       std::span<const RnsPoly> digits, const KswKey& key,
                       bool acc0, bool acc1) const;
 
+  /// Coefficient ranges noise_budget_bits measures in parallel.
+  static constexpr std::size_t kBudgetRanges = 16;
   /// Free rows per prime past the digits: fused_affine's two inner-product
   /// outputs, two rotated parts and lifted diagonal.
   static constexpr std::size_t kSpareRows = 5;

@@ -1,5 +1,6 @@
 #include "hhe/simd_batch.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "common/error.hpp"
@@ -305,20 +306,28 @@ fhe::Plaintext SimdBatchEngine::tile_mask(
 Ciphertext SimdBatchEngine::merge_tenant_keys(
     std::span<const TenantTiles> tenants) const {
   POE_ENSURE(!tenants.empty(), "merge requires at least one tenant");
-  Ciphertext merged;
-  bool first = true;
+  std::vector<const Ciphertext*> keys;
   for (const auto& tenant : tenants) {
     POE_ENSURE(tenant.key_ct != nullptr, "merge: null tenant key");
     POE_ENSURE(!tenant.tiles.empty(), "merge: tenant owns no tiles");
-    Ciphertext masked = *tenant.key_ct;
-    bgv_.mul_plain_inplace(masked, tile_mask(tenant.tiles));
-    if (first) {
-      merged = std::move(masked);
-      first = false;
-    } else {
-      bgv_.match_levels(merged, masked);
-      bgv_.add_inplace(merged, masked);
-    }
+    keys.push_back(tenant.key_ct);
+  }
+  std::vector<fhe::Plaintext> masks(tenants.size());
+  parallel_for(tenants.size(),
+               [&](std::size_t k) { masks[k] = tile_mask(tenants[k].tiles); });
+  const bool one_shape = std::all_of(keys.begin(), keys.end(), [&](auto* key) {
+    return key->level == keys[0]->level && key->size() == keys[0]->size();
+  });
+  if (one_shape) return bgv_.sum_mul_plain(keys, masks);
+  // Keys at different levels: mask each, and switch the running sum or the
+  // next term down to the lower of the two before adding.
+  Ciphertext merged = *keys[0];
+  bgv_.mul_plain_inplace(merged, masks[0]);
+  for (std::size_t k = 1; k < keys.size(); ++k) {
+    Ciphertext masked = *keys[k];
+    bgv_.mul_plain_inplace(masked, masks[k]);
+    bgv_.match_levels(merged, masked);
+    bgv_.add_inplace(merged, masked);
   }
   return merged;
 }

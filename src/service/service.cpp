@@ -9,7 +9,6 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "fhe/serialize.hpp"
 
 namespace poe::service {
@@ -539,24 +538,18 @@ void TranscipherService::evaluate_batch(Call& call, std::size_t j,
         hhe::ServerReport server_report;
         const fhe::Ciphertext batch_out =
             engine_.evaluate(packed_key, batch, &server_report);
-        // One task per live tenant: its masked extraction and both budget
-        // measurements (the extraction mask costs noise, so the report
-        // holds the deliverable's budget, not the pre-mask batch output's).
-        std::vector<std::shared_ptr<const fhe::Ciphertext>> outs(live.size());
-        std::vector<double> noise(live.size()), predicted(live.size());
-        parallel_for(live.size(), [&](std::size_t v) {
-          outs[v] = std::make_shared<const fhe::Ciphertext>(
-              engine_.extract_tiles(batch_out, live[v].tiles));
-          noise[v] = bgv_.noise_budget_bits(*outs[v]);
-          predicted[v] = bgv_.predicted_budget_bits(*outs[v]);
-        });
         out_of.clear();
         batch_noise = 1e9;
         batch_predicted = 1e9;
         for (std::size_t v = 0; v < live.size(); ++v) {
-          batch_noise = std::min(batch_noise, noise[v]);
-          batch_predicted = std::min(batch_predicted, predicted[v]);
-          out_of[live_ids[v]] = std::move(outs[v]);
+          auto ct = std::make_shared<const fhe::Ciphertext>(
+              engine_.extract_tiles(batch_out, live[v].tiles));
+          // The extraction mask costs noise: report the deliverable's
+          // budget, not the pre-mask batch output's.
+          batch_noise = std::min(batch_noise, bgv_.noise_budget_bits(*ct));
+          batch_predicted =
+              std::min(batch_predicted, bgv_.predicted_budget_bits(*ct));
+          out_of[live_ids[v]] = std::move(ct);
         }
       },
       outcome, outcome.eval_s);

@@ -513,10 +513,10 @@ void record_run(const fhe::Bgv& bgv, ExecContext& exec, AffineRun& run,
   run.ops = exec.snapshot() - before;
 }
 
-// `hoist_copy` is the copy of the state's c0 that the reference's hoist
-// makes and the fused pass, which builds its digits in place, does not.
+// `copy_gap` is the whole-polynomial copy traffic, in bytes, that the
+// reference makes and the pass under test does not.
 void expect_same_run(const AffineRun& want, const AffineRun& got,
-                     u64 hoist_copy) {
+                     u64 copy_gap) {
   for (std::size_t v = 0; v < 2; ++v) {
     SCOPED_TRACE(v == 0 ? "in-tile" : "wrap");
     ASSERT_EQ(got.acc[v].size(), want.acc[v].size());
@@ -533,7 +533,7 @@ void expect_same_run(const AffineRun& want, const AffineRun& got,
                             c.automorphisms, c.hoisted_rotations};
   };
   EXPECT_EQ(ops(got.ops), ops(want.ops));
-  EXPECT_EQ(got.ops.bytes_copied + hoist_copy, want.ops.bytes_copied);
+  EXPECT_EQ(got.ops.bytes_copied + copy_gap, want.ops.bytes_copied);
   const auto& a = want.tape.nodes();
   const auto& b = got.tape.nodes();
   ASSERT_EQ(b.size(), a.size());
@@ -597,6 +597,7 @@ TEST(FusedAffineDifferential, MatchesPerDiagonalOnEveryBackendAndLevel) {
       fhe::Ciphertext state = top;
       bgv.mod_switch_to(state, level);
       ASSERT_EQ(state.level, level);
+      // The reference's hoist copies c0; the fused pass copies nothing.
       const u64 hoist_copy = level * config.bgv.n * sizeof(u64);
       for (const auto& [name, diags] : layers) {
         SCOPED_TRACE(name);
@@ -616,6 +617,59 @@ TEST(FusedAffineDifferential, MatchesPerDiagonalOnEveryBackendAndLevel) {
         expect_same_run(ref, pooled, hoist_copy);
         expect_same_run(ref, nested, hoist_copy);
       }
+    }
+  }
+}
+
+// -------------------------------- one-pass key merge == masked copies
+
+// Bgv::sum_mul_plain, the one-pass tenant-key merge, against the
+// composition it replaces: mul_plain_inplace on a copy of each term, then
+// add_inplace in term order. Bit for bit, with the same noise bound, tape
+// and op counters, on every backend, at the top level and below it.
+TEST(SumMulPlainDifferential, MatchesMaskedCopiesOnEveryBackend) {
+  const hhe::HheConfig config = hhe::HheConfig::batched_test();
+  const std::size_t n = config.bgv.n;
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    SCOPED_TRACE(backend->name());
+    ExecContext exec(nullptr, backend);
+    fhe::Bgv bgv(config.bgv, &exec);
+    fhe::BatchEncoder encoder(n, config.bgv.t, &exec);
+    Xoshiro256 rng(515151);
+    std::vector<fhe::Ciphertext> top;
+    std::vector<fhe::Plaintext> pts;
+    for (int k = 0; k < 5; ++k) {
+      top.push_back(
+          bgv.encrypt(encoder.encode(random_msg(rng, config.bgv.t, n))));
+      pts.push_back(encoder.encode(random_msg(rng, config.bgv.t, n)));
+    }
+    for (const std::size_t level : {bgv.top_level(), std::size_t{4}}) {
+      SCOPED_TRACE("level " + std::to_string(level));
+      std::vector<fhe::Ciphertext> cts = top;
+      std::vector<const fhe::Ciphertext*> terms;
+      for (auto& ct : cts) {
+        bgv.mod_switch_to(ct, level);
+        terms.push_back(&ct);
+      }
+      AffineRun want, got;
+      record_run(bgv, exec, want, [&] {
+        Accumulators acc;
+        for (std::size_t k = 0; k < cts.size(); ++k) {
+          fhe::Ciphertext masked = cts[k];
+          bgv.mul_plain_inplace(masked, pts[k]);
+          if (k == 0) {
+            acc[0] = std::move(masked);
+          } else {
+            bgv.add_inplace(acc[0], masked);
+          }
+        }
+        return acc;
+      });
+      record_run(bgv, exec, got, [&] {
+        return Accumulators{bgv.sum_mul_plain(terms, pts), {}};
+      });
+      // The composition copies every term; the one pass copies nothing.
+      expect_same_run(want, got, cts.size() * 2 * level * n * sizeof(u64));
     }
   }
 }

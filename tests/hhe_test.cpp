@@ -164,6 +164,38 @@ TEST_F(BatchedHhe, BatchedKeyCiphertextDecodesToKey) {
   }
 }
 
+// Tile m of a merged key holds the key of the tenant owning tile m and
+// unowned tiles hold zeros, for keys at one level (the one-pass merge) and
+// at different levels (the merge switches down to the lowest).
+TEST_F(BatchedHhe, MergedKeyHoldsEachTenantsKeyInItsTiles) {
+  Xoshiro256 rng(12);
+  const SimdBatchEngine engine(config_, bgv_);
+  const auto key_a = pasta::PastaCipher::random_key(config_.pasta, rng);
+  const auto key_b = pasta::PastaCipher::random_key(config_.pasta, rng);
+  const fhe::Ciphertext ct_a = key_ct(engine, key_a);
+  fhe::Ciphertext ct_b = key_ct(engine, key_b);
+  const std::vector<std::size_t> tiles_a{0, 2}, tiles_b{1};
+  const std::size_t s = config_.pasta.state_size();
+  const std::size_t cols = engine.layout().cols();
+  for (const bool lower_b : {false, true}) {
+    SCOPED_TRACE(lower_b ? "keys at different levels" : "keys at one level");
+    if (lower_b) bgv_.mod_switch_inplace(ct_b);
+    const std::vector<TenantTiles> tenants{{&ct_a, tiles_a}, {&ct_b, tiles_b}};
+    const fhe::Ciphertext merged = engine.merge_tenant_keys(tenants);
+    EXPECT_EQ(merged.level, ct_b.level);
+    const auto logical = engine.layout().from_slots(
+        encoder_.decode(bgv_.decrypt(merged)));
+    for (std::size_t i = 0; i < logical.size(); ++i) {
+      const std::size_t col = i % cols;
+      const std::size_t tile = col / s;
+      std::uint64_t want = 0;  // unowned tile
+      if (tile == 0 || tile == 2) want = key_a[col % key_a.size()];
+      if (tile == 1) want = key_b[col % key_b.size()];
+      ASSERT_EQ(logical[i], want) << "slot " << i;
+    }
+  }
+}
+
 TEST_F(BatchedHhe, BatchedTranscipherMatchesMessage) {
   Xoshiro256 rng(11);
   const auto key = pasta::PastaCipher::random_key(config_.pasta, rng);

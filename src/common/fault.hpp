@@ -15,9 +15,10 @@
 // every key switch, once per prime, on the thread that calls the switch,
 // before its parallel pass over the primes. In SimdBatchEngine::evaluate
 // that is the evaluating thread. HheServer's S-box relinearises inside
-// parallel_for, so pool workers visit it there, and
-// TranscipherService::open_session_switched visits it through ingest_switch,
-// outside process()'s stage retry.
+// parallel_for, so pool workers visit it there: on that path it is a
+// multi-thread site like pool.acquire. TranscipherService::
+// open_session_switched visits it through ingest_switch, outside
+// process()'s stage retry.
 //
 // Naming convention for sites: <layer>.<point>[.<aspect>], e.g.
 //   pool.acquire            allocation of a polynomial slab
